@@ -28,8 +28,11 @@ Cluster::Cluster(ClusterOptions options)
   obs::BindSimulator(&sim_);
   network_ = std::make_unique<net::Network>(&sim_, rng_.Fork());
 
+  // The static wiring (SysConf) is built once; the FabricManager, both
+  // Controllers and every Master get copies, which share its name index.
+  const fabric::BuiltFabric wiring = BuildFor(options_);
   fabric_ = std::make_unique<fabric::FabricManager>(
-      &sim_, BuildFor(options_), options_.fabric_manager, rng_.Fork());
+      &sim_, wiring, options_.fabric_manager, rng_.Fork());
 
   // Metadata quorum ("ZooKeeper", §V-B).
   consensus::MetaService::Options meta_options;
@@ -50,8 +53,7 @@ Cluster::Cluster(ClusterOptions options)
   }
   for (int i = 0; i < 2; ++i) {
     controllers_.push_back(std::make_unique<Controller>(
-        &sim_, network_.get(), controller_ids[i],
-        BuildFor(options_), fabric_.get(), i,
+        &sim_, network_.get(), controller_ids[i], wiring, fabric_.get(), i,
         options_.controller));
   }
 
@@ -59,8 +61,8 @@ Cluster::Cluster(ClusterOptions options)
   for (int i = 0; i < options_.masters; ++i) {
     masters_.push_back(std::make_unique<Master>(
         &sim_, network_.get(), "master-" + std::to_string(i),
-        options_.unit_id, BuildFor(options_),
-        controller_ids, meta_client_options(), options_.master));
+        options_.unit_id, wiring, controller_ids, meta_client_options(),
+        options_.master));
   }
 
   // EndPoints, one per host.

@@ -647,11 +647,8 @@ void ShardedCluster::GrantLease(int g) {
     const fabric::NodeIndex node = grp.nodes[d];
     const hw::Disk* disk = cluster_->fabric().disk(node);
     index.disk_failed[d] = (disk != nullptr && disk->failed()) ? 1 : 0;
-    const std::string* name = cluster_->fabric().DiskNameOfNode(node);
-    int disk_host = -1;
-    if (master != nullptr && name != nullptr) {
-      disk_host = master->CurrentHostOfDisk(*name);
-    }
+    int disk_host =
+        master != nullptr ? master->CurrentHostOfWiringDisk(node) : -1;
     if (disk_host < 0) disk_host = cluster_->fabric().RoutedHostOfDisk(node);
     index.disk_host[d] = disk_host;
   }
@@ -700,12 +697,8 @@ void ShardedCluster::ApplyMetaLookup(const ControlMsg& msg) {
   Group& grp = *groups_[msg.group];
   control_metrics_.Increment("cluster.control.meta_lookups");
   const fabric::NodeIndex node = grp.nodes[msg.disk];
-  const std::string* name = cluster_->fabric().DiskNameOfNode(node);
   Master* master = ActiveMaster();
-  int host = -1;
-  if (master != nullptr && name != nullptr) {
-    host = master->ServeMetaLookup(*name);
-  }
+  int host = master != nullptr ? master->ServeMetaLookup(node) : -1;
   if (host < 0) host = cluster_->fabric().RoutedHostOfDisk(node);
   const int g = msg.group;
   engine_->Post(control_shard_, grp.shard, 0, [this, g, host] {

@@ -47,8 +47,10 @@ Master::Master(sim::Simulator* sim, net::Network* network, net::NodeId id,
       monitor_timer_(sim) {
   meta_ = std::make_unique<consensus::MetaClient>(
       sim, network, endpoint_->id() + ":meta", std::move(meta_options));
+  disk_of_node_.assign(static_cast<std::size_t>(wiring_.topology.size()), -1);
   for (fabric::NodeIndex node : wiring_.disks) {
-    InternDisk(wiring_.topology.node(node).name);
+    disk_of_node_[static_cast<std::size_t>(node)] =
+        InternDisk(wiring_.topology.node(node).name);
   }
   RegisterHandlers();
 }
@@ -311,9 +313,9 @@ void Master::MonitorTick() {
   // USB tree — without a host failure to explain it — is a failed unit
   // (disk, bridge or its switch). Flag it for replacement.
   if (failovers_in_progress_.empty()) {
-    for (int d = 0; d < static_cast<int>(disks_.size()); ++d) {
+    for (int d : seen_disks_) {
       const DiskStat& disk = disks_[d];
-      if (disk.failed || disk.last_seen < 0) continue;
+      if (disk.failed) continue;
       if (disk.host >= 0 && !HostAlive(disk.host)) continue;
       if (now - disk.last_seen > options_.disk_missing_timeout) {
         USTORE_LOG(Warning)
@@ -335,9 +337,15 @@ int Master::CurrentHostOfDisk(const std::string& disk) const {
   return handle < 0 ? -1 : disks_[handle].host;
 }
 
-int Master::ServeMetaLookup(const std::string& disk) {
+int Master::CurrentHostOfWiringDisk(fabric::NodeIndex node) const {
+  const auto i = static_cast<std::size_t>(node);
+  const int handle = i < disk_of_node_.size() ? disk_of_node_[i] : -1;
+  return handle < 0 ? -1 : disks_[handle].host;
+}
+
+int Master::ServeMetaLookup(fabric::NodeIndex disk) {
   ++meta_lookups_served_;
-  return CurrentHostOfDisk(disk);
+  return CurrentHostOfWiringDisk(disk);
 }
 
 net::NodeId Master::ActiveControllerId() const {
@@ -811,6 +819,7 @@ void Master::RegisterHandlers() {
           disk.present = true;
           disk.state = entry.state;
           disk.last_seen = now;
+          seen_disks_.insert(d);
           bool back_after_repair = false;
           if (entry.failed && !disk.failed) HandleDiskFailure(d);
           if (!entry.failed && disk.failed) {
@@ -1100,6 +1109,7 @@ void Master::Restart() {
   hosts_.clear();
   allocations_.clear();
   host_disks_.clear();
+  seen_disks_.clear();
   for (DiskStat& stat : disks_) stat = DiskStat{};
   Start();
 }
@@ -1176,6 +1186,14 @@ bool Master::CheckIndexesForTest(std::string* why) const {
     if ((stat.host >= 0) != indexed) {
       return fail("host index disagrees for disk " + DiskName(d));
     }
+  }
+  // The seen-disk set is exactly the disks some heartbeat listed.
+  std::set<int> seen;
+  for (int d = 0; d < static_cast<int>(disks_.size()); ++d) {
+    if (disks_[d].last_seen >= 0) seen.insert(d);
+  }
+  if (seen != seen_disks_) {
+    return fail("seen-disk set disagrees with last_seen");
   }
   // No foreign entries in host buckets.
   for (const auto& [host, bucket] : host_disks_) {

@@ -82,14 +82,17 @@ class Master {
   // --- Introspection (tests / benches) ---------------------------------------
   bool HostAlive(int host_index) const;
   int CurrentHostOfDisk(const std::string& disk) const;
+  // CurrentHostOfDisk for a wiring disk, by its fabric node: no name is
+  // hashed. -1 for a node that is not a wiring disk.
+  int CurrentHostOfWiringDisk(fabric::NodeIndex node) const;
   std::size_t allocation_count() const { return allocations_.size(); }
   int failovers_completed() const { return failovers_completed_; }
 
   // Central allocation lookup served on behalf of a group without a meta
   // lease (the sharded-master escalation path, DESIGN.md §15). Identical
-  // to CurrentHostOfDisk but counted, so the pump-occupancy story is
+  // to CurrentHostOfWiringDisk but counted, so the pump-occupancy story is
   // visible from the Master itself.
-  int ServeMetaLookup(const std::string& disk);
+  int ServeMetaLookup(fabric::NodeIndex disk);
   std::uint64_t meta_lookups_served() const { return meta_lookups_served_; }
 
   // Canonical one-line-per-space rendering of StorAlloc (sorted by id) —
@@ -109,9 +112,10 @@ class Master {
   }
 
   // Verifies the reverse indexes (disk->spaces, host->disks, per-disk
-  // exposed-host counts, per-disk allocated bytes) against a full scan of
-  // allocations_/disks_. Returns false and describes the first mismatch in
-  // `why` (if non-null). Test-only: O(disks + allocations).
+  // exposed-host counts, per-disk allocated bytes, the seen-disk set)
+  // against a full scan of allocations_/disks_. Returns false and describes
+  // the first mismatch in `why` (if non-null). Test-only: O(disks +
+  // allocations).
   bool CheckIndexesForTest(std::string* why = nullptr) const;
 
  private:
@@ -240,7 +244,14 @@ class Master {
   std::vector<DiskStat> disks_;
   std::vector<std::string> disk_names_;
   std::unordered_map<std::string, int> disk_index_;
+  // Wiring disk node -> handle (wiring disks are interned first, in wiring
+  // order); -1 for every other node.
+  std::vector<int> disk_of_node_;
   std::map<int, std::set<int>> host_disks_;
+  // Handles of the disks some heartbeat has listed (last_seen >= 0), in
+  // handle order: the only disks MonitorTick can find missing, at most the
+  // ~15 each host recognizes rather than the whole unit.
+  std::set<int> seen_disks_;
   // Which controlling hosts have been told to take over the control plane.
   int active_controller_ = 0;
 

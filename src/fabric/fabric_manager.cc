@@ -57,11 +57,14 @@ FabricManager::FabricManager(sim::Simulator* sim, BuiltFabric fabric,
   }
 
   const hw::DiskModel model(options_.disk_params, hw::UsbBridgeInterface());
+  disk_of_node_.assign(static_cast<std::size_t>(fabric_.topology.size()),
+                       nullptr);
   for (NodeIndex node : fabric_.disks) {
     const std::string& name = fabric_.topology.node(node).name;
-    disks_[name] = std::make_unique<hw::Disk>(sim_, name, model,
-                                              options_.disks_start_powered);
-    disk_name_of_node_[node] = name;
+    auto& disk = disks_[name];
+    disk = std::make_unique<hw::Disk>(sim_, name, model,
+                                      options_.disks_start_powered);
+    disk_of_node_[static_cast<std::size_t>(node)] = disk.get();
     if (!options_.disks_start_powered) {
       fabric_.topology.SetPowered(node, false);
     }
@@ -77,8 +80,8 @@ hw::Disk* FabricManager::disk(const std::string& name) {
 }
 
 hw::Disk* FabricManager::disk(NodeIndex node) {
-  auto it = disk_name_of_node_.find(node);
-  return it == disk_name_of_node_.end() ? nullptr : disk(it->second);
+  const auto i = static_cast<std::size_t>(node);
+  return i < disk_of_node_.size() ? disk_of_node_[i] : nullptr;
 }
 
 int FabricManager::SwitchLine(NodeIndex switch_node) const {
@@ -162,10 +165,16 @@ void FabricManager::OnLineChanged(int line, bool value) {
         t.SetPowered(node, on);
         if (on) {
           // Power-cycling a hub also power-cycles enumeration of its
-          // subtree; clear any lost-attach markers beneath it.
-          for (NodeIndex dn : fabric_.disks) {
-            lost_attach_.erase(dn);
-          }
+          // subtree: clear the lost-attach markers of the disks whose
+          // upstream chain, under the current switch settings, passes
+          // through it.
+          std::erase_if(lost_attach_, [&t, node](NodeIndex disk) {
+            for (NodeIndex up = t.ActiveUpstream(disk); up != kInvalidNode;
+                 up = t.ActiveUpstream(up)) {
+              if (up == node) return true;
+            }
+            return false;
+          });
         }
         break;
       }

@@ -90,13 +90,6 @@ class FabricManager {
   Status RepairUnit(const std::string& node_name);
 
   // --- Queries --------------------------------------------------------------------
-  // Disk name for a topology node; nullptr if the node is not a disk. Lets
-  // the control plane translate shard-plan node indexes into the names the
-  // Master's allocation index speaks (meta-lease snapshots, DESIGN.md §15).
-  const std::string* DiskNameOfNode(NodeIndex node) const {
-    const auto it = disk_name_of_node_.find(node);
-    return it == disk_name_of_node_.end() ? nullptr : &it->second;
-  }
   // Host id a disk is currently *routed* to (fabric-level), -1 if none.
   int RoutedHostOfDisk(NodeIndex disk_node) const;
   // Host id where the disk is routed AND recognized by the host stack.
@@ -130,7 +123,7 @@ class FabricManager {
   std::vector<std::unique_ptr<hw::Microcontroller>> mcus_;
   std::vector<std::unique_ptr<hw::UsbHostStack>> stacks_;
   std::map<std::string, std::unique_ptr<hw::Disk>> disks_;
-  std::map<NodeIndex, std::string> disk_name_of_node_;
+  std::vector<hw::Disk*> disk_of_node_;  // by NodeIndex; null for non-disks
 
   std::map<NodeIndex, int> switch_line_;
   std::map<NodeIndex, int> disk_relay_line_;

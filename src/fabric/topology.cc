@@ -18,9 +18,16 @@ std::string_view NodeKindName(NodeKind kind) {
 }
 
 NodeIndex Topology::Add(Node node) {
+  const auto i = static_cast<NodeIndex>(nodes_.size());
+  if (index_ == nullptr) {
+    index_ = std::make_shared<NameIndex>();
+  } else if (index_.use_count() > 1) {
+    index_ = std::make_shared<NameIndex>(*index_);
+  }
+  index_->try_emplace(node.name, i);
   nodes_.push_back(std::move(node));
   ++generation_;
-  return static_cast<NodeIndex>(nodes_.size()) - 1;
+  return i;
 }
 
 NodeIndex Topology::AddHostPort(std::string name) {
@@ -52,8 +59,8 @@ NodeIndex Topology::AddDisk(std::string name, NodeIndex upstream) {
 }
 
 Result<NodeIndex> Topology::Find(const std::string& name) const {
-  for (NodeIndex i = 0; i < size(); ++i) {
-    if (nodes_[i].name == name) return i;
+  if (index_ != nullptr) {
+    if (auto it = index_->find(name); it != index_->end()) return it->second;
   }
   return NotFoundError("no fabric node named " + name);
 }

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -58,6 +60,7 @@ class Topology {
   // --- Accessors -------------------------------------------------------------
   int size() const { return static_cast<int>(nodes_.size()); }
   const Node& node(NodeIndex i) const { return nodes_.at(i); }
+  // O(1) by name; for a duplicate name, the first node added wins.
   Result<NodeIndex> Find(const std::string& name) const;
 
   std::vector<NodeIndex> NodesOfKind(NodeKind kind) const;
@@ -141,7 +144,14 @@ class Topology {
     std::vector<NodeIndex> path;
   };
 
+  using NameIndex = std::unordered_map<std::string, NodeIndex>;
+
   std::vector<Node> nodes_;
+  // Name -> first node of that name, filled by Add. Names never change
+  // after Add, so copies of a topology share one index; Add clones a shared
+  // index before inserting, so growing one copy never changes another's
+  // lookups.
+  std::shared_ptr<NameIndex> index_;
   std::uint64_t generation_ = 1;
   mutable std::vector<PathCacheEntry> path_cache_;  // indexed by device
 };

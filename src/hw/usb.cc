@@ -12,6 +12,7 @@ UsbHostStack::UsbHostStack(sim::Simulator* sim, std::string host_name,
     : sim_(sim), host_name_(std::move(host_name)), params_(params) {}
 
 void UsbHostStack::OnDeviceAttached(const UsbTreeEntry& entry) {
+  recognized_.erase(entry.device);  // a re-attach enumerates afresh
   DeviceState& state = devices_[entry.device];
   state.entry = entry;
   state.generation = ++generation_counter_;
@@ -55,6 +56,7 @@ void UsbHostStack::OnDeviceAttached(const UsbTreeEntry& entry) {
       return;
     }
     it->second.status = UsbDeviceStatus::kRecognized;
+    recognized_.emplace(device, it->second.entry);
     if (attach_listener_) {
       attach_listener_(device, UsbDeviceStatus::kRecognized);
     }
@@ -65,6 +67,7 @@ void UsbHostStack::OnDeviceDetached(const std::string& device) {
   auto it = devices_.find(device);
   if (it == devices_.end()) return;
   devices_.erase(it);
+  recognized_.erase(device);
   // The OS notices the disappearance after a short delay.
   sim_->Schedule(params_.detach_notice, [this, device] {
     if (detach_listener_) detach_listener_(device);
@@ -73,39 +76,22 @@ void UsbHostStack::OnDeviceDetached(const std::string& device) {
 
 void UsbHostStack::Reset() {
   devices_.clear();
+  recognized_.clear();
   enumeration_busy_until_ = 0;
 }
 
 std::vector<std::string> UsbHostStack::RecognizedDevices() const {
   std::vector<std::string> out;
-  for (const auto& [name, state] : devices_) {
-    if (state.status == UsbDeviceStatus::kRecognized) out.push_back(name);
-  }
+  out.reserve(recognized_.size());
+  for (const auto& [name, entry] : recognized_) out.push_back(name);
   return out;
-}
-
-bool UsbHostStack::IsRecognized(const std::string& device) const {
-  auto it = devices_.find(device);
-  return it != devices_.end() &&
-         it->second.status == UsbDeviceStatus::kRecognized;
 }
 
 UsbTreeReport UsbHostStack::TreeReport() const {
   UsbTreeReport report;
-  for (const auto& [name, state] : devices_) {
-    if (state.status == UsbDeviceStatus::kRecognized) {
-      report.push_back(state.entry);
-    }
-  }
+  report.reserve(recognized_.size());
+  for (const auto& [name, entry] : recognized_) report.push_back(entry);
   return report;
-}
-
-int UsbHostStack::recognized_count() const {
-  int n = 0;
-  for (const auto& [name, state] : devices_) {
-    if (state.status == UsbDeviceStatus::kRecognized) ++n;
-  }
-  return n;
 }
 
 }  // namespace ustore::hw

@@ -58,6 +58,8 @@ struct UsbTreeEntry {
   std::string parent;   // parent device name; empty = root port
   int tier = 0;         // hub depth below the root port
   bool is_hub = false;
+
+  friend bool operator==(const UsbTreeEntry&, const UsbTreeEntry&) = default;
 };
 
 using UsbTreeReport = std::vector<UsbTreeEntry>;
@@ -90,14 +92,17 @@ class UsbHostStack {
   // The host crashed / rebooted: all device state is lost instantly.
   void Reset();
 
-  // Devices currently recognized by the OS.
+  // Devices currently recognized by the OS, name-ordered. These queries
+  // cost O(recognized), however many devices are attached.
   std::vector<std::string> RecognizedDevices() const;
-  bool IsRecognized(const std::string& device) const;
+  bool IsRecognized(const std::string& device) const {
+    return recognized_.contains(device);
+  }
 
   // lsusb -t equivalent over recognized devices.
   UsbTreeReport TreeReport() const;
 
-  int recognized_count() const;
+  int recognized_count() const { return static_cast<int>(recognized_.size()); }
 
  private:
   struct DeviceState {
@@ -112,6 +117,9 @@ class UsbHostStack {
   AttachListener attach_listener_;
   DetachListener detach_listener_;
   std::map<std::string, DeviceState> devices_;  // ordered for determinism
+  // The kRecognized subset of devices_ with their entries, kept in step
+  // with every status change (attach, re-attach, detach, Reset).
+  std::map<std::string, UsbTreeEntry> recognized_;
   sim::Time enumeration_busy_until_ = 0;
   std::uint64_t generation_counter_ = 0;
 };

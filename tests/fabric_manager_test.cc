@@ -152,6 +152,31 @@ TEST_F(FabricManagerTest, AttachLossQuirkRequiresPowerCycle) {
   EXPECT_EQ(mgr.VisibleHostOfDisk("disk-0"), 1);
 }
 
+TEST_F(FabricManagerTest, HubPowerCycleHealsOnlyLostAttachesBeneathIt) {
+  // §V-B quirk with a lossy, not certain, enumeration: a disk stuck under
+  // leaf hub 0 stays stuck when a *different* leaf hub is power-cycled, and
+  // heals when its own hub is.
+  sim::Simulator sim;
+  FabricManager::Options options;
+  options.attach_loss_probability = 0.25;
+  FabricManager mgr(&sim, BuildPrototypeFabric(), options, Rng(3));
+  sim.RunFor(sim::Seconds(10));
+  // Seed 3 loses disk-0's initial attach (leafhub-0 holds disks 0-3).
+  ASSERT_EQ(mgr.VisibleHostOfDisk("disk-0"), -1);
+
+  auto power_cycle = [&](const std::string& hub) {
+    const NodeIndex node = mgr.topology().Find(hub).value();
+    ASSERT_TRUE(mgr.DriveHubPower(0, node, false).ok());
+    sim.RunFor(sim::Seconds(2));
+    ASSERT_TRUE(mgr.DriveHubPower(0, node, true).ok());
+    sim.RunFor(sim::Seconds(10));
+  };
+  power_cycle("leafhub-2");
+  EXPECT_EQ(mgr.VisibleHostOfDisk("disk-0"), -1);
+  power_cycle("leafhub-0");
+  EXPECT_EQ(mgr.VisibleHostOfDisk("disk-0"), 0);
+}
+
 TEST_F(FabricManagerTest, HubPowerModelMatchesTableIV) {
   FabricManager::HubPowerModel model;
   EXPECT_NEAR(FabricManager::HubPower(model, 0), 0.21, 0.01);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "fabric/builders.h"
 #include "fabric/topology.h"
@@ -127,7 +128,49 @@ TEST_F(TinyFabricTest, FindByName) {
   auto found = t_.Find("disk-0");
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(*found, disk_);
-  EXPECT_FALSE(t_.Find("nonexistent").ok());
+  EXPECT_EQ(t_.Find("nonexistent").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(t_.Find("").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(Topology().Find("disk-0").status().code(), StatusCode::kNotFound);
+}
+
+// --- Name index --------------------------------------------------------------
+
+TEST_F(TinyFabricTest, FindReturnsTheFirstOfDuplicateNames) {
+  const NodeIndex second = t_.AddDisk("disk-0", hub_b_);
+  EXPECT_NE(second, disk_);
+  EXPECT_EQ(t_.Find("disk-0").value_or(kInvalidNode), disk_);
+}
+
+TEST_F(TinyFabricTest, AddOnACopyLeavesTheOriginalUnchanged) {
+  Topology copy = t_;
+  const NodeIndex added = copy.AddDisk("disk-1", hub_b_);
+  EXPECT_EQ(copy.Find("disk-1").value_or(kInvalidNode), added);
+  EXPECT_EQ(t_.Find("disk-1").status().code(), StatusCode::kNotFound);
+
+  // Growing the original afterwards leaves the copy alone in turn, even
+  // though both now hold a node at the same index.
+  const NodeIndex other = t_.AddDisk("disk-2", hub_a_);
+  EXPECT_EQ(other, added);
+  EXPECT_EQ(t_.Find("disk-2").value_or(kInvalidNode), other);
+  EXPECT_EQ(copy.Find("disk-2").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(t_.Find("disk-1").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(t_.Find("disk-0").value_or(kInvalidNode), disk_);
+  EXPECT_EQ(copy.Find("disk-0").value_or(kInvalidNode), disk_);
+}
+
+TEST(TopologyNameIndexTest, CopiesOfABuiltFabricFindEveryNode) {
+  PrototypeOptions options;
+  options.leaf_hubs_per_group = 3;
+  const BuiltFabric built = BuildPrototypeFabric(options);
+  const BuiltFabric copy = built;
+  ASSERT_EQ(copy.topology.size(), built.topology.size());
+  for (NodeIndex i = 0; i < built.topology.size(); ++i) {
+    const std::string& name = built.topology.node(i).name;
+    EXPECT_EQ(copy.topology.Find(name).value_or(kInvalidNode), i) << name;
+    EXPECT_EQ(built.topology.Find(name).value_or(kInvalidNode), i) << name;
+  }
+  EXPECT_EQ(copy.topology.Find("nonexistent").status().code(),
+            StatusCode::kNotFound);
 }
 
 // --- Generation counter and path cache ---------------------------------------

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "hw/usb.h"
 #include "sim/simulator.h"
 
@@ -131,6 +132,93 @@ TEST_F(UsbHostStackTest, TreeReportListsRecognizedDevices) {
   EXPECT_EQ(report[0].parent, "hub-0");
   EXPECT_EQ(report[1].device, "hub-0");
   EXPECT_TRUE(report[1].is_hub);
+}
+
+// The recognized views (count, device list, tree report) are kept in step
+// with every status change rather than recomputed by a walk over every
+// attached device. Drive a seeded random mix of attaches, re-attaches
+// during enumeration, detaches, over-limit bursts and resets, and after
+// every step compare them — content and name order — with a model built
+// from the listener's recognition events.
+TEST(UsbHostStackModelTest, RecognizedViewsTrackARandomSequence) {
+  sim::Simulator sim;
+  UsbHostStack stack(&sim, "host-0");
+  Rng rng(2015);
+  std::map<std::string, UsbTreeEntry> last_attached;
+  std::map<std::string, UsbTreeEntry> model;  // recognized, name-ordered
+  int recognitions = 0;
+  int failures = 0;
+  stack.set_attach_listener(
+      [&](const std::string& device, UsbDeviceStatus status) {
+        if (status == UsbDeviceStatus::kRecognized) {
+          ++recognitions;
+          model[device] = last_attached.at(device);
+        } else {
+          ++failures;
+          model.erase(device);
+        }
+      });
+
+  // More names than the 127-device bus limit, unpadded so name order and
+  // numeric order differ ("dev-10" < "dev-9").
+  constexpr int kPool = 150;
+  auto random_name = [&] {
+    return "dev-" + std::to_string(rng.NextBelow(kPool));
+  };
+  auto attach = [&](const std::string& name) {
+    // Tier 6 exceeds the 5-tier limit and fails at attach time.
+    const UsbTreeEntry entry{name,
+                             "hub-" + std::to_string(rng.NextBelow(4)),
+                             1 + static_cast<int>(rng.NextBelow(6)),
+                             rng.NextBool(0.2)};
+    last_attached[name] = entry;
+    model.erase(name);  // not recognized until its new enumeration ends
+    stack.OnDeviceAttached(entry);
+  };
+
+  for (int step = 0; step < 600; ++step) {
+    const std::uint64_t op = rng.NextBelow(40);
+    if (op < 16) {
+      attach(random_name());
+    } else if (op < 20) {
+      // Over-limit burst: past the ~15-device quirk, and (accumulated)
+      // past the 127-device bus limit.
+      for (int i = 0; i < 24; ++i) attach(random_name());
+    } else if (op < 26) {
+      // Re-attach while the first enumeration is still in flight.
+      const std::string name = random_name();
+      attach(name);
+      sim.RunFor(sim::Millis(static_cast<std::int64_t>(rng.NextBelow(800))));
+      attach(name);
+    } else if (op < 38) {
+      const std::string name = random_name();
+      model.erase(name);
+      stack.OnDeviceDetached(name);
+    } else if (op < 39) {
+      model.clear();
+      stack.Reset();
+    }
+    sim.RunFor(sim::Millis(static_cast<std::int64_t>(rng.NextBelow(2000))));
+
+    ASSERT_EQ(stack.recognized_count(), static_cast<int>(model.size()))
+        << "step " << step;
+    std::vector<std::string> names;
+    UsbTreeReport report;
+    for (const auto& [name, entry] : model) {
+      names.push_back(name);
+      report.push_back(entry);
+    }
+    ASSERT_EQ(stack.RecognizedDevices(), names) << "step " << step;
+    ASSERT_EQ(stack.TreeReport(), report) << "step " << step;
+    for (int i = 0; i < kPool; ++i) {
+      const std::string name = "dev-" + std::to_string(i);
+      ASSERT_EQ(stack.IsRecognized(name), model.contains(name))
+          << "step " << step << ", " << name;
+    }
+  }
+  // The sequence reached every path it is meant to cover.
+  EXPECT_GT(recognitions, 100);
+  EXPECT_GT(failures, 100);
 }
 
 TEST_F(UsbHostStackTest, LinkParamDefaults) {

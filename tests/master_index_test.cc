@@ -116,6 +116,29 @@ TEST_F(MasterIndexTest, DeltaHeartbeatsKeepDisksAlive) {
   ExpectIndexesConsistent("after steady state");
 }
 
+// MonitorTick visits only the disks some heartbeat has listed. The check
+// pins that set to {disks with last_seen >= 0} on the active Master, on a
+// restarted one (which forgets every heartbeat) and on that Master once
+// heartbeats have reached it again.
+TEST_F(MasterIndexTest, SeenDiskSetTracksHeartbeatsAcrossRestart) {
+  ExpectIndexesConsistent("after start");
+  Master* master = cluster_.active_master();
+  ASSERT_NE(master, nullptr);
+  EXPECT_GE(master->CurrentHostOfDisk("disk-0"), 0);
+
+  master->Crash();
+  cluster_.RunFor(sim::Seconds(1));
+  master->Restart();
+  std::string why;
+  EXPECT_TRUE(master->CheckIndexesForTest(&why)) << "just restarted: " << why;
+  EXPECT_EQ(master->CurrentHostOfDisk("disk-0"), -1);
+
+  cluster_.RunFor(sim::Seconds(30));
+  EXPECT_TRUE(master->CheckIndexesForTest(&why)) << "after beats: " << why;
+  EXPECT_GE(master->CurrentHostOfDisk("disk-0"), 0);
+  ExpectIndexesConsistent("after restart");
+}
+
 // Property test: a seeded random mix of control-plane operations never
 // breaks the reverse-index invariants.
 class MasterIndexFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
