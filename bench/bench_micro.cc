@@ -147,7 +147,7 @@ void BM_SoaSubmitRange(benchmark::State& state) {
   // (SubmitBatchRange + FinishDrainRange): one pass over the SoA arrays
   // with the model evaluation hoisted to three calls per sweep. The
   // per-disk completion schedules are bit-identical to BM_SoaSubmitPerDisk
-  // (sharded_unit_test.RangeEntryPointsMatchPerDiskLoop).
+  // (DiskStateArrayTest.RangeEntryPointsMatchPerDiskLoop).
   const int disks = static_cast<int>(state.range(0));
   const hw::DiskModel model(hw::DiskParams{}, hw::UsbBridgeInterface());
   hw::DiskStateArray soa(&model, disks, /*idle_timeout=*/0);

@@ -1,72 +1,72 @@
-// Fleet scale-out benchmark (DESIGN.md §8).
+// Scale-out benchmark (DESIGN.md §13-§14): the real Cluster on the sharded
+// engine, one deploy unit growing, and a fleet of deploy units on a worker
+// pool. Two sweeps, each run when its size list is given:
 //
-// Runs N independent deploy units (core::Fleet) under a mixed cold-read +
-// archival-write workload and reports simulation throughput:
+//   * --disks-per-unit 1000,...: one core::ShardedCluster (the real Master,
+//     meta quorum, EndPoints and live fabric) at each size, at each
+//     --unit-threads count. --sharded-master repeats the sweep with
+//     per-group meta leases (DESIGN.md §15).
+//   * --units 1,4,...: core::RunShardedFleet of that many 32-disk prototype
+//     units, one unit per outer worker (--threads).
 //
-//   * wall-clock events/second across the whole fleet,
-//   * simulated-seconds advanced per wall-clock second,
-//   * nanoseconds of wall time per simulated event (the figure tracked by
-//     tools/bench_compare --bench scaleout against a committed baseline).
+// Reported: wall-clock events/second, simulated-seconds per wall-second and
+// nanoseconds of wall time per simulated event (the figure tracked by
+// tools/bench_compare --bench scaleout against a committed baseline).
 //
-// With --check-determinism every configuration is run twice — at the
-// requested thread count and at threads=1 — and the merged deterministic
-// reports (FleetReport::ToJson) must match byte for byte; the speedup
-// column then compares the two wall times. Deploy units share nothing, so
-// on a multi-core machine the fleet scales near-linearly until the unit
-// count saturates the cores; on a single core the threaded run matches
-// threads=1 (the determinism contract is unaffected).
+// With --check-determinism every configuration is also run on the
+// single-queue oracle (for the fleet: serial outer pool, single-queue inner
+// engines) and the deterministic reports must match byte for byte.
 //
 // Output: a human table on stdout and, with --json, a google-benchmark
-// compatible JSON document (one "iteration" entry per unit count whose
-// real_time is ns/event).
+// compatible JSON document (one "iteration" entry per row whose real_time
+// is ns/event).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/cluster_sharded.h"
 #include "core/fleet.h"
-#include "core/sharded_unit.h"
 
 namespace {
 
 using namespace ustore;
 
+// Disks per fleet unit: the 8-group prototype with one leaf hub per group,
+// which is also the smallest unit RealClusterOptionsFor builds. Smaller
+// --disks-per-unit entries are rejected rather than run mislabelled.
+constexpr int kFleetUnitDisks = 32;
+
 struct Args {
-  std::vector<int> unit_counts = {1, 4, 16, 64};
-  int threads = 0;  // 0 = hardware concurrency
+  // Fleet sweep: unit counts; empty = no fleet sweep.
+  std::vector<int> unit_counts;
+  int threads = 0;  // outer fleet workers; 0 = hardware concurrency
   double sim_seconds = 20;
   int repeats = 3;  // best-of-N, to damp scheduler noise on busy machines
   std::string json_path;
   bool check_determinism = false;
   std::uint64_t seed = 42;
-  // Intra-unit sharded sweep (DESIGN.md §12): when non-empty, one deploy
-  // unit of this many disks runs on the sharded engine at each
-  // `unit_threads` count (the first entry is the speedup baseline, so keep
-  // it at 1). --check-determinism additionally runs the single-queue
-  // oracle per configuration and compares reports byte for byte.
+  // Intra-unit sweep: one real-cluster deploy unit of this many disks (at
+  // least kFleetUnitDisks) on the sharded engine at each `unit_threads`
+  // count; empty = no sweep. The first `unit_threads` entry must be 1: it
+  // is the speedup baseline.
   std::vector<int> disks_per_unit;
   std::vector<int> unit_threads = {1, 2, 4, 8};
   int unit_shards = 8;
-  int unit_groups = 64;
-  bool skip_fleet = false;  // --no-fleet: sharded sweep only
-  // --real-cluster: also run the REAL core::Cluster (Master, meta quorum,
-  // EndPoints, live fabric) on the sharded engine at each disks_per_unit
-  // size (DESIGN.md §13), scaling one prototype deploy unit via
-  // leaf_hubs_per_group.
-  bool real_cluster = false;
   // --sharded-master: after the central-Master real-cluster sweep, repeat
   // it with per-group meta leases (DESIGN.md §15) and report the control
   // pump's wall-clock occupancy next to the MasterShards' local decision
   // counts. The headline claim: the pump's serialized control work scales
   // with the number of GROUPS, not disks — meta traffic is answered on
   // the groups' shards, so central escalations per disk fall as the
-  // population grows.
+  // population grows. Fleet units run with the sharded Master too.
   bool sharded_master = false;
   // --expect-flat-control X: exit non-zero if the sharded-master sweep's
   // centrally-serialized control decisions per disk (pump-served meta
@@ -78,12 +78,9 @@ struct Args {
   // but not gated: it is polluted by cache displacement from the inner
   // simulator touching the whole (growing) disk population each quantum.
   double expect_flat_control = 0;
-  // --chaos: drive the real-cluster sweeps with fault toggles and host
+  // --chaos: drive the real-cluster runs with fault toggles and host
   // crashes so the lease revoke/re-grant path is on the measured profile.
   bool chaos = false;
-  // --sharded-fleet: run the whole fleet as ShardedClusters (DESIGN.md
-  // §14) at each --units count, one unit per outer worker.
-  bool sharded_fleet = false;
   // --expect-speedup X: exit non-zero unless some multi-thread row reaches
   // X times the threads=1 baseline. Auto-skipped (with a note) when the
   // machine has a single hardware thread — the contract there is only that
@@ -91,14 +88,21 @@ struct Args {
   double expect_speedup = 0;
 };
 
-std::vector<int> ParseIntList(const char* value) {
-  std::vector<int> out;
-  for (const char* p = value; *p != '\0';) {
-    out.push_back(std::atoi(p));
-    while (*p != '\0' && *p != ',') ++p;
-    if (*p == ',') ++p;
+// A comma-separated list of positive integers. False on an empty list, an
+// empty entry, a non-numeric entry or a value below 1.
+bool ParseIntList(const char* value, std::vector<int>& out) {
+  out.clear();
+  for (const char* p = value;; ++p) {
+    char* end = nullptr;
+    const long v = std::strtol(p, &end, 10);
+    if (end == p || v < 1 || v > std::numeric_limits<int>::max()) {
+      return false;
+    }
+    out.push_back(static_cast<int>(v));
+    if (*end == '\0') return true;
+    if (*end != ',') return false;
+    p = end;
   }
-  return out;
 }
 
 bool ParseArgs(int argc, char** argv, Args& args) {
@@ -110,35 +114,30 @@ bool ParseArgs(int argc, char** argv, Args& args) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--units") == 0) {
       const char* value = next_value(i);
-      if (value == nullptr) return false;
-      args.unit_counts = ParseIntList(value);
+      if (value == nullptr || !ParseIntList(value, args.unit_counts)) {
+        return false;
+      }
     } else if (std::strcmp(arg, "--disks-per-unit") == 0) {
       const char* value = next_value(i);
-      if (value == nullptr) return false;
-      args.disks_per_unit = ParseIntList(value);
+      if (value == nullptr || !ParseIntList(value, args.disks_per_unit) ||
+          *std::min_element(args.disks_per_unit.begin(),
+                            args.disks_per_unit.end()) < kFleetUnitDisks) {
+        return false;
+      }
     } else if (std::strcmp(arg, "--unit-threads") == 0) {
       const char* value = next_value(i);
-      if (value == nullptr) return false;
-      args.unit_threads = ParseIntList(value);
-      if (args.unit_threads.empty()) return false;
+      if (value == nullptr || !ParseIntList(value, args.unit_threads) ||
+          args.unit_threads.front() != 1) {
+        return false;
+      }
     } else if (std::strcmp(arg, "--unit-shards") == 0) {
       const char* value = next_value(i);
       if (value == nullptr) return false;
       args.unit_shards = std::atoi(value);
-    } else if (std::strcmp(arg, "--unit-groups") == 0) {
-      const char* value = next_value(i);
-      if (value == nullptr) return false;
-      args.unit_groups = std::atoi(value);
-    } else if (std::strcmp(arg, "--no-fleet") == 0) {
-      args.skip_fleet = true;
-    } else if (std::strcmp(arg, "--real-cluster") == 0) {
-      args.real_cluster = true;
     } else if (std::strcmp(arg, "--sharded-master") == 0) {
       args.sharded_master = true;
     } else if (std::strcmp(arg, "--chaos") == 0) {
       args.chaos = true;
-    } else if (std::strcmp(arg, "--sharded-fleet") == 0) {
-      args.sharded_fleet = true;
     } else if (std::strcmp(arg, "--expect-flat-control") == 0) {
       const char* value = next_value(i);
       if (value == nullptr) return false;
@@ -175,149 +174,7 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       return false;
     }
   }
-  return !args.unit_counts.empty();
-}
-
-// Mixed workload for one deploy unit: a handful of mounted volumes serving
-// occasional cold reads (random offsets) alongside an archival ingest
-// stream (large sequential appends). Everything draws from ctx.rng, so the
-// unit's behaviour is a pure function of its seed.
-void MixedWorkload(core::UnitContext& ctx, double sim_seconds) {
-  core::Cluster& cluster = *ctx.cluster;
-  auto client = cluster.MakeClient("scale-client-u" +
-                                   std::to_string(ctx.unit_id));
-  std::vector<core::ClientLib::Volume*> volumes;
-  constexpr int kVolumes = 3;
-  for (int i = 0; i < kVolumes; ++i) {
-    client->AllocateAndMount("scale-svc", GiB(2),
-                             [&](Result<core::ClientLib::Volume*> r) {
-                               if (r.ok()) volumes.push_back(*r);
-                             });
-  }
-  cluster.RunFor(sim::Seconds(10));
-  if (volumes.empty()) return;
-
-  std::vector<Bytes> write_cursors(volumes.size(), 0);
-  const sim::Time end =
-      cluster.sim().now() +
-      static_cast<sim::Duration>(sim_seconds * 1e9);
-  std::uint64_t next_tag = 1;
-  while (cluster.sim().now() < end) {
-    const std::size_t v = ctx.rng->NextBelow(volumes.size());
-    core::ClientLib::Volume* volume = volumes[v];
-    if (ctx.rng->NextBool(0.3)) {
-      // Archival write: 1 MiB sequential append (wrapping).
-      const Bytes length = MiB(1);
-      if (write_cursors[v] + length > volume->space().length) {
-        write_cursors[v] = 0;
-      }
-      obs::Metrics().Increment("workload.archival_writes");
-      volume->Write(write_cursors[v], length, /*random=*/false, next_tag++,
-                    [](Status) {});
-      write_cursors[v] += length;
-    } else {
-      // Cold read: 128 KiB at a random (aligned) offset.
-      const Bytes length = KiB(128);
-      const Bytes slots = volume->space().length / length;
-      const Bytes offset =
-          static_cast<Bytes>(ctx.rng->NextBelow(
-              static_cast<std::uint64_t>(slots))) *
-          length;
-      obs::Metrics().Increment("workload.cold_reads");
-      volume->Read(offset, length, /*random=*/true,
-                   [](Result<std::uint64_t>) {});
-    }
-    // Poisson arrivals, mean 250 ms between ops across the unit.
-    cluster.RunFor(static_cast<sim::Duration>(
-        ctx.rng->NextExponential(0.25) * 1e9));
-  }
-  cluster.RunFor(sim::Seconds(2));  // drain in-flight ops
-}
-
-struct RunResult {
-  core::FleetReport report;
-  double events_per_second = 0;
-  double sim_per_wall = 0;
-  double ns_per_event = 0;
-};
-
-RunResult RunFleet(const Args& args, int units, int threads) {
-  core::FleetOptions options;
-  options.units = units;
-  options.threads = threads;
-  options.seed = args.seed;
-  core::Fleet fleet(options);
-  RunResult result;
-  const double sim_seconds = args.sim_seconds;
-  result.report = fleet.Run([sim_seconds](core::UnitContext& ctx) {
-    MixedWorkload(ctx, sim_seconds);
-  });
-  const double wall = result.report.wall_seconds;
-  const double events =
-      static_cast<double>(result.report.total_events);
-  result.events_per_second = wall > 0 ? events / wall : 0;
-  result.sim_per_wall =
-      wall > 0 ? static_cast<double>(result.report.total_sim_time) / 1e9 /
-                     wall
-               : 0;
-  result.ns_per_event = events > 0 ? wall * 1e9 / events : 0;
-  return result;
-}
-
-// --- Intra-unit sharded sweep (DESIGN.md §12) -------------------------------
-
-struct ShardedResult {
-  core::ShardedUnitReport report;
-  double wall_seconds = 0;
-  double events_per_second = 0;
-  double sim_per_wall = 0;
-  double ns_per_event = 0;
-};
-
-core::ShardedUnitOptions ShardedOptionsFor(const Args& args, int disks,
-                                           int threads, bool use_sharded) {
-  core::ShardedUnitOptions options;
-  options.groups = args.unit_groups;
-  options.disks_per_group = std::max(1, disks / args.unit_groups);
-  options.shards = use_sharded ? args.unit_shards : 1;
-  options.threads = threads;
-  options.seed = args.seed;
-  options.duration = static_cast<sim::Duration>(args.sim_seconds * 1e9);
-  // Denser bursts than the model's default: the sweep wants enough events
-  // per wall-second for stable timing, and a fault rate that keeps the
-  // spin/fail paths on the profile.
-  options.burst_period = sim::Millis(5);
-  options.burst_ops = 32;
-  options.fault_probability = 0.01;
-  return options;
-}
-
-ShardedResult RunSharded(const Args& args, int disks, int threads,
-                         bool use_sharded) {
-  const core::ShardedUnitOptions options =
-      ShardedOptionsFor(args, disks, threads, use_sharded);
-  ShardedResult result;
-  const auto start = std::chrono::steady_clock::now();
-  result.report = core::RunShardedUnit(options, use_sharded);
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  const double events = static_cast<double>(result.report.events_processed);
-  const double wall = result.wall_seconds;
-  result.events_per_second = wall > 0 ? events / wall : 0;
-  result.sim_per_wall = wall > 0 ? args.sim_seconds / wall : 0;
-  result.ns_per_event = events > 0 ? wall * 1e9 / events : 0;
-  return result;
-}
-
-ShardedResult BestOf(const Args& args, int disks, int threads,
-                     bool use_sharded) {
-  ShardedResult best = RunSharded(args, disks, threads, use_sharded);
-  for (int repeat = 1; repeat < args.repeats; ++repeat) {
-    ShardedResult again = RunSharded(args, disks, threads, use_sharded);
-    if (again.wall_seconds < best.wall_seconds) best = std::move(again);
-  }
-  return best;
+  return !args.unit_counts.empty() || !args.disks_per_unit.empty();
 }
 
 // --- The real Cluster on the sharded engine (DESIGN.md §13) -----------------
@@ -428,14 +285,16 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "usage: bench_scaleout [--units 1,4,16,64] [--threads N]\n"
+        "                      [--disks-per-unit 1000,...]\n"
+        "                      [--unit-threads 1,2,4,8] [--unit-shards N]\n"
+        "                      [--sharded-master] [--chaos]\n"
         "                      [--sim-seconds S] [--repeats N] [--seed S]\n"
         "                      [--json PATH] [--check-determinism]\n"
-        "                      [--disks-per-unit 1000,...] [--no-fleet]\n"
-        "                      [--unit-threads 1,2,4,8] [--unit-shards N]\n"
-        "                      [--unit-groups N] [--real-cluster]\n"
-        "                      [--sharded-master] [--chaos]\n"
-        "                      [--sharded-fleet] [--expect-flat-control X]\n"
-        "                      [--expect-speedup X]\n");
+        "                      [--expect-flat-control X] [--expect-speedup X]\n"
+        "Give --units, --disks-per-unit or both. List entries are positive\n"
+        "integers; --disks-per-unit entries are at least 32 (one leaf hub\n"
+        "per group); the first --unit-threads entry must be 1 (the speedup\n"
+        "baseline).\n");
     return 2;
   }
   int threads = args.threads;
@@ -448,148 +307,13 @@ int main(int argc, char** argv) {
   double max_speedup = 0;  // best multi-thread speedup seen in any sweep
   std::vector<std::string> entries;
 
-  if (!args.skip_fleet) {
-  bench::PrintHeader(
-      "Fleet scale-out: independent deploy units on a worker pool\n"
-      "(" +
-      bench::Fmt(args.sim_seconds, 0) +
-      " simulated seconds per unit, mixed cold reads + archival writes,\n"
-      "threads=" +
-      std::to_string(threads) + ")");
-  std::vector<std::string> header = {"units", "events", "Mev/s", "sim-s/s",
-                                     "ns/event"};
-  if (args.check_determinism) {
-    header.push_back("speedup");
-    header.push_back("identical");
-  }
-  bench::PrintRow(header, 12);
-
-  for (std::size_t i = 0; i < args.unit_counts.size(); ++i) {
-    const int units = args.unit_counts[i];
-    // Best-of-N: fleet runs are deterministic, so every repeat produces
-    // the same report — only the wall time varies. Keeping the fastest
-    // repeat filters out scheduler interference on loaded machines.
-    RunResult threaded = RunFleet(args, units, threads);
-    for (int repeat = 1; repeat < args.repeats; ++repeat) {
-      RunResult again = RunFleet(args, units, threads);
-      if (again.ns_per_event < threaded.ns_per_event) {
-        threaded = std::move(again);
-      }
-    }
-    for (const core::UnitReport& unit : threaded.report.units) {
-      if (!unit.error.empty()) {
-        std::fprintf(stderr, "unit %d failed: %s\n", unit.unit_id,
-                     unit.error.c_str());
-        return 1;
-      }
-    }
-
-    std::vector<std::string> row = {
-        std::to_string(units),
-        std::to_string(threaded.report.total_events),
-        bench::Fmt(threaded.events_per_second / 1e6, 2),
-        bench::Fmt(threaded.sim_per_wall, 1),
-        bench::Fmt(threaded.ns_per_event, 1)};
-    double speedup = 1.0;
-    if (args.check_determinism) {
-      RunResult serial = RunFleet(args, units, /*threads=*/1);
-      const bool identical =
-          serial.report.ToJson() == threaded.report.ToJson();
-      determinism_ok = determinism_ok && identical;
-      speedup = threaded.report.wall_seconds > 0
-                    ? serial.report.wall_seconds /
-                          threaded.report.wall_seconds
-                    : 0;
-      row.push_back(bench::Fmt(speedup, 2) + "x");
-      row.push_back(identical ? "yes" : "NO");
-    }
-    bench::PrintRow(row, 12);
-
-    entries.push_back(
-        "    {\"name\": \"scaleout/units:" + std::to_string(units) +
-        "\", \"run_type\": \"iteration\", \"iterations\": " +
-        std::to_string(args.repeats) +
-        ", \"real_time\": " + bench::Fmt(threaded.ns_per_event, 1) +
-        ", \"cpu_time\": " + bench::Fmt(threaded.ns_per_event, 1) +
-        ", \"time_unit\": \"ns\", \"events\": " +
-        std::to_string(threaded.report.total_events) +
-        ", \"events_per_second\": " +
-        bench::Fmt(threaded.events_per_second, 1) +
-        ", \"sim_seconds_per_wall_second\": " +
-        bench::Fmt(threaded.sim_per_wall, 2) + "}");
-  }
-  }  // !args.skip_fleet
-
   if (!args.disks_per_unit.empty()) {
-    bench::PrintHeader(
-        "Intra-unit sharding: one deploy unit on the sharded event engine\n"
-        "(" +
-        bench::Fmt(args.sim_seconds, 0) + " simulated seconds, " +
-        std::to_string(args.unit_groups) + " groups, shards=" +
-        std::to_string(args.unit_shards) +
-        ", speedup vs the first --unit-threads entry)");
-    std::vector<std::string> header = {"disks",   "threads", "events",
-                                       "Mev/s",   "sim-s/s", "ns/event",
-                                       "speedup"};
-    if (args.check_determinism) header.push_back("identical");
-    bench::PrintRow(header, 12);
-
-    for (const int disks : args.disks_per_unit) {
-      std::string oracle_json;
-      if (args.check_determinism) {
-        oracle_json =
-            RunSharded(args, disks, 1, /*use_sharded=*/false).report.ToJson();
-      }
-      double baseline_wall = 0;
-      for (std::size_t t = 0; t < args.unit_threads.size(); ++t) {
-        const int unit_threads = args.unit_threads[t];
-        const ShardedResult best =
-            BestOf(args, disks, unit_threads, /*use_sharded=*/true);
-        if (t == 0) baseline_wall = best.wall_seconds;
-        const double speedup =
-            best.wall_seconds > 0 ? baseline_wall / best.wall_seconds : 0;
-        if (unit_threads > 1) max_speedup = std::max(max_speedup, speedup);
-
-        std::vector<std::string> row = {
-            std::to_string(disks),
-            std::to_string(unit_threads),
-            std::to_string(best.report.events_processed),
-            bench::Fmt(best.events_per_second / 1e6, 2),
-            bench::Fmt(best.sim_per_wall, 1),
-            bench::Fmt(best.ns_per_event, 1),
-            bench::Fmt(speedup, 2) + "x"};
-        bool identical = true;
-        if (args.check_determinism) {
-          identical = best.report.ToJson() == oracle_json;
-          determinism_ok = determinism_ok && identical;
-          row.push_back(identical ? "yes" : "NO");
-        }
-        bench::PrintRow(row, 12);
-
-        entries.push_back(
-            "    {\"name\": \"scaleout/sharded/disks:" +
-            std::to_string(disks) +
-            "/threads:" + std::to_string(unit_threads) +
-            "\", \"run_type\": \"iteration\", \"iterations\": " +
-            std::to_string(args.repeats) +
-            ", \"real_time\": " + bench::Fmt(best.ns_per_event, 1) +
-            ", \"cpu_time\": " + bench::Fmt(best.ns_per_event, 1) +
-            ", \"time_unit\": \"ns\", \"events\": " +
-            std::to_string(best.report.events_processed) +
-            ", \"events_per_second\": " +
-            bench::Fmt(best.events_per_second, 1) +
-            ", \"speedup_vs_baseline\": " + bench::Fmt(speedup, 3) + "}");
-      }
-    }
-  }
-
-  if (args.real_cluster && !args.disks_per_unit.empty()) {
     bench::PrintHeader(
         "Real Cluster on the sharded engine: live Master/EndPoints/fabric,\n"
         "vectorized SoA disk sweeps (" +
         bench::Fmt(args.sim_seconds, 0) + " simulated seconds, shards=" +
         std::to_string(args.unit_shards) +
-        ", speedup vs the first --unit-threads entry)");
+        ", speedup vs threads=1)");
     std::vector<std::string> header = {"disks",    "threads", "start-s",
                                        "events",   "Mev/s",   "sim-s/s",
                                        "ns/event", "speedup"};
@@ -664,8 +388,7 @@ int main(int argc, char** argv) {
   // as the population grows. That ratio is the payoff this sweep exists
   // to measure (and --expect-flat-control gates). Wall occupancy
   // ("pump-ms"/"drain-ms") is reported for context, not gated.
-  if (args.sharded_master && args.real_cluster &&
-      !args.disks_per_unit.empty()) {
+  if (args.sharded_master && !args.disks_per_unit.empty()) {
     bench::PrintHeader(
         "Sharded Master: per-group meta leases on the real Cluster\n"
         "(" +
@@ -789,15 +512,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Fleet end-to-end on the sharded engine (DESIGN.md §14) ---------------
-  if (args.sharded_fleet) {
-    const int disks =
-        args.disks_per_unit.empty() ? 32 : args.disks_per_unit.front();
+  // --- Fleet: one ShardedCluster per deploy unit (DESIGN.md §14) ------------
+  if (!args.unit_counts.empty()) {
     bench::PrintHeader(
-        "Fleet on the sharded engine: one ShardedCluster per deploy unit\n"
+        "Fleet scale-out: one ShardedCluster per deploy unit, on a worker "
+        "pool\n"
         "(" +
         bench::Fmt(args.sim_seconds, 0) + " simulated seconds, " +
-        std::to_string(disks) + " disks/unit, sharded_master=" +
+        std::to_string(kFleetUnitDisks) + " disks/unit, sharded_master=" +
         std::string(args.sharded_master ? "on" : "off") + ", threads=" +
         std::to_string(threads) + ")");
     std::vector<std::string> header = {"units", "events", "Mev/s",
@@ -811,8 +533,8 @@ int main(int argc, char** argv) {
       options.threads = threads;
       options.seed = args.seed;
       options.use_sharded_engine = true;
-      options.unit = RealClusterOptionsFor(args, disks,
-                                           args.unit_threads.front(),
+      options.unit = RealClusterOptionsFor(args, kFleetUnitDisks,
+                                           /*threads=*/1,
                                            /*use_sharded=*/true,
                                            args.sharded_master);
       core::ShardedFleetReport best = core::RunShardedFleet(options);

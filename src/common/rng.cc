@@ -4,16 +4,10 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/hash.h"
+
 namespace ustore {
 namespace {
-
-std::uint64_t SplitMix64(std::uint64_t& state) {
-  state += 0x9E3779B97f4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 std::uint64_t Rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
@@ -22,8 +16,11 @@ std::uint64_t Rotl(std::uint64_t x, int k) {
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
-  std::uint64_t sm = seed;
-  for (auto& s : s_) s = SplitMix64(sm);
+  // Four consecutive outputs of a splitmix64 generator seeded with `seed`.
+  for (auto& s : s_) {
+    s = SplitMix64(seed);
+    seed += kSplitMixGamma;
+  }
 }
 
 std::uint64_t Rng::NextU64() {
@@ -83,13 +80,6 @@ double Rng::NextNormal(double mean, double stddev) {
 
 Rng Rng::Fork() { return Rng(NextU64()); }
 
-std::uint64_t SeedFromId(const std::string& id) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : id) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+std::uint64_t SeedFromId(const std::string& id) { return Fnv1a(id); }
 
 }  // namespace ustore

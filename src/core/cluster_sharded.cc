@@ -11,6 +11,7 @@
 #include <string>
 #include <utility>
 
+#include "common/hash.h"
 #include "core/fleet.h"
 #include "core/master_shard.h"
 #include "obs/metrics.h"
@@ -29,15 +30,6 @@ void AppendU64(std::string* out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
   out->append(buf);
-}
-
-std::uint64_t Fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 std::uint64_t WallNs() {
@@ -253,7 +245,7 @@ ShardedCluster::~ShardedCluster() {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduling helpers (the sharded_unit parity rules): shard-local events on
+// Scheduling helpers (the DESIGN.md §12 parity rule): shard-local events on
 // even nanoseconds, deliveries land odd by engine contract.
 
 void ShardedCluster::ScheduleLocal(int shard, sim::Time not_before,

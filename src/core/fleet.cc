@@ -3,168 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <exception>
 #include <thread>
-#include <utility>
 
-#include "obs/health.h"
+#include "common/hash.h"
 #include "obs/trace.h"
 
 namespace ustore::core {
-namespace {
-
-std::uint64_t SplitMix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
 
 std::uint64_t FleetUnitSeed(std::uint64_t fleet_seed, int unit_id) {
-  return SplitMix(SplitMix(fleet_seed) ^
-                  SplitMix(static_cast<std::uint64_t>(unit_id) + 1));
-}
-
-namespace {
-
-void RunUnit(const FleetOptions& options, int unit_id,
-             const Fleet::Workload& workload, UnitReport& report) {
-  report.unit_id = unit_id;
-  report.seed = FleetUnitSeed(options.seed, unit_id);
-
-  // Unit-local observability: every instrumentation point reached from
-  // this thread lands here until the binding is destroyed. Declared before
-  // the cluster so the cluster (whose constructor binds its simulator as
-  // the registries' clock) is destroyed first.
-  obs::MetricsRegistry metrics;
-  obs::TraceBuffer tracer;
-  obs::ScopedObsBinding binding(&metrics, &tracer);
-
-  try {
-    ClusterOptions cluster_options = options.cluster;
-    cluster_options.unit_id = unit_id;
-    cluster_options.seed = report.seed;
-    Cluster cluster(std::move(cluster_options));
-    cluster.Start();
-
-    // Per-unit SLO engine: tumbling windows on the unit's own sim clock
-    // against the unit-local registry, so the resulting report depends only
-    // on (fleet seed, unit id) — never on which worker thread ran it.
-    obs::HealthMonitor health(options.health_window > 0
-                                  ? options.health_window
-                                  : sim::Seconds(10),
-                              obs::DefaultSloRules());
-    sim::Timer health_timer(&cluster.sim());
-    if (options.health_window > 0) {
-      health_timer.StartPeriodic(options.health_window, [&] {
-        health.Tick(metrics, cluster.sim().now());
-      });
-    }
-
-    // The workload's own random stream: derived from the unit seed but
-    // independent of the streams the cluster forked internally.
-    Rng rng(SplitMix(report.seed ^ 0xF1EE7u));
-    UnitContext context{unit_id, report.seed, &cluster, &rng};
-    workload(context);
-
-    if (options.health_window > 0) {
-      health_timer.Stop();
-      health.Finalize(metrics, cluster.sim().now());
-      report.health_json = health.ReportJson();
-    }
-    report.sim_end = cluster.sim().now();
-    report.events_processed = cluster.sim().events_processed();
-    if (Master* master = cluster.active_master(); master != nullptr) {
-      report.allocation_count = master->allocation_count();
-      report.allocations = master->DumpAllocations();
-    }
-  } catch (const std::exception& e) {
-    report.error = e.what();
-  } catch (...) {
-    report.error = "unknown exception";
-  }
-  report.trace_completed = tracer.completed_count() + tracer.dropped();
-  report.trace_dropped = tracer.dropped();
-  report.trace_digest = obs::TraceDigest(tracer);
-  report.metrics = metrics.Snapshot();
-}
-
-}  // namespace
-
-FleetReport Fleet::Run(const Workload& workload) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  const int units = options_.units;
-  FleetReport report;
-  report.units.resize(static_cast<std::size_t>(units));
-
-  int threads = options_.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  threads = std::min(threads, units);
-
-  // Work-stealing by atomic index: each worker owns one unit at a time and
-  // writes only its own slot, so the merged result is independent of which
-  // worker ran which unit.
-  std::atomic<int> next{0};
-  auto worker = [&] {
-    for (int unit = next.fetch_add(1); unit < units;
-         unit = next.fetch_add(1)) {
-      RunUnit(options_, unit, workload,
-              report.units[static_cast<std::size_t>(unit)]);
-    }
-  };
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int i = 0; i < threads; ++i) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  for (const UnitReport& unit : report.units) {
-    report.total_events += unit.events_processed;
-    report.total_sim_time += unit.sim_end;
-  }
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return report;
+  return SplitMix64(SplitMix64(fleet_seed) ^
+                    SplitMix64(static_cast<std::uint64_t>(unit_id) + 1));
 }
 
 ShardedFleetReport RunShardedFleet(const ShardedFleetOptions& options) {
@@ -181,10 +29,11 @@ ShardedFleetReport RunShardedFleet(const ShardedFleetOptions& options) {
   }
   threads = std::min(threads, std::max(units, 1));
 
-  // Same work-stealing shape as Fleet::Run: each outer worker owns one
-  // unit at a time and writes only its own slot. The ShardedCluster binds
-  // its own registries internally; the scratch binding here only catches
-  // stray instrumentation from construction/teardown so it never lands in
+  // Work-stealing by atomic index: each outer worker owns one unit at a
+  // time and writes only its own slot, so the merged result is independent
+  // of which worker ran which unit. The ShardedCluster binds its own
+  // registries internally; the scratch binding here only catches stray
+  // instrumentation from construction/teardown so it never lands in
   // another unit's (or the caller's) registry.
   std::atomic<int> next{0};
   auto run_unit = [&](int unit_id) {
@@ -250,77 +99,6 @@ std::string ShardedFleetReport::ToJson() const {
   return out;
 }
 
-std::uint64_t ShardedFleetReport::Digest() const {
-  // Same FNV-1a shape as ShardedClusterReport::Digest.
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : ToJson()) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::map<std::string, std::uint64_t> FleetReport::MergedCounters() const {
-  std::map<std::string, std::uint64_t> merged;
-  for (const UnitReport& unit : units) {
-    for (const auto& [name, value] : unit.metrics.counters) {
-      merged[name] += value;
-    }
-  }
-  return merged;
-}
-
-std::string FleetReport::ToJson() const {
-  std::string out = "{\n  \"units\": [\n";
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    const UnitReport& unit = units[i];
-    out += "    {\"unit\": " + std::to_string(unit.unit_id);
-    out += ", \"seed\": " + std::to_string(unit.seed);
-    out += ", \"sim_end_ns\": " + std::to_string(unit.sim_end);
-    out += ", \"events\": " + std::to_string(unit.events_processed);
-    out += ", \"trace_completed\": " + std::to_string(unit.trace_completed);
-    out += ", \"trace_dropped\": " + std::to_string(unit.trace_dropped);
-    out += ", \"trace_digest\": " + std::to_string(unit.trace_digest);
-    out += ", \"allocation_count\": " +
-           std::to_string(unit.allocation_count);
-    out += ",\n     \"error\": ";
-    AppendJsonString(out, unit.error);
-    out += ",\n     \"allocations\": ";
-    AppendJsonString(out, unit.allocations);
-    // health_json is already canonical JSON — embedded raw, not re-quoted.
-    out += ",\n     \"health\": ";
-    out += unit.health_json.empty() ? "null" : unit.health_json;
-    out += ",\n     \"counters\": {";
-    bool first = true;
-    for (const auto& [name, value] : unit.metrics.counters) {
-      if (!first) out += ", ";
-      first = false;
-      AppendJsonString(out, name);
-      out += ": " + std::to_string(value);
-    }
-    out += "},\n     \"histogram_counts\": {";
-    first = true;
-    for (const auto& [name, hist] : unit.metrics.histograms) {
-      if (!first) out += ", ";
-      first = false;
-      AppendJsonString(out, name);
-      out += ": " + std::to_string(hist.count);
-    }
-    out += "}}";
-    out += i + 1 < units.size() ? ",\n" : "\n";
-  }
-  out += "  ],\n  \"total_events\": " + std::to_string(total_events);
-  out += ",\n  \"total_sim_time_ns\": " + std::to_string(total_sim_time);
-  out += ",\n  \"merged_counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : MergedCounters()) {
-    if (!first) out += ", ";
-    first = false;
-    AppendJsonString(out, name);
-    out += ": " + std::to_string(value);
-  }
-  out += "}\n}\n";
-  return out;
-}
+std::uint64_t ShardedFleetReport::Digest() const { return Fnv1a(ToJson()); }
 
 }  // namespace ustore::core

@@ -1,31 +1,29 @@
-// Fleet-scale execution harness (DESIGN.md §8).
+// Fleet scale-out: N independent deploy units on a worker pool (DESIGN.md
+// §14).
 //
-// A Fleet instantiates N deploy units — each an independent core::Cluster
-// with its own sim::Simulator, seed and workload — and runs them on a
-// thread pool. Deploy units share nothing at runtime (that is the point of
-// the paper's unit-granular design), so the fleet parallelises perfectly:
-// each worker thread owns one unit at a time, with obs::Metrics() and
-// obs::Tracer() redirected to unit-local registries via ScopedObsBinding.
+// RunShardedFleet builds one core::ShardedCluster per deploy unit — the
+// real Cluster on sim::UnitEngine, optionally with the sharded Master — so
+// a fleet is many copies of the one unit model. Two nested levels of
+// parallelism: `threads` outer workers each own one unit at a time, and
+// every unit may itself run its ShardedEngine with `unit.threads` inner
+// workers. Deploy units share nothing at runtime (that is the point of the
+// paper's unit-granular design), so the outer pool needs no coordination
+// beyond handing out unit ids.
 //
-// Determinism contract: unit k's seed is a pure function of (fleet seed,
-// k); every unit runs single-threaded on whichever worker picks it up; and
-// per-unit results are collected into per-unit slots and merged in unit
-// order. The merged FleetReport::ToJson() is therefore bit-identical for
-// any thread count, including 1 — the fleet determinism test and
-// bench_scaleout --check-determinism both assert exactly this.
+// Determinism contract: unit k's seed is FleetUnitSeed(seed, k); per-unit
+// reports land in per-unit slots and merge in unit order; and
+// ShardedClusterReport is already a pure function of (options, seed) at
+// any shard/thread count. ShardedFleetReport::ToJson() is therefore
+// bit-identical for any (outer threads × inner shards × inner threads),
+// sharded engine or single-queue oracle — tests/fleet_test.cc asserts it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
-#include "core/cluster.h"
 #include "core/cluster_sharded.h"
 #include "obs/metrics.h"
-#include "sim/time.h"
 
 namespace ustore::core {
 
@@ -33,98 +31,6 @@ namespace ustore::core {
 // a double splitmix64 mix, so adjacent unit ids land in unrelated parts of
 // the sequence space.
 std::uint64_t FleetUnitSeed(std::uint64_t fleet_seed, int unit_id);
-
-struct FleetOptions {
-  int units = 1;
-  // Worker threads; 0 = std::thread::hardware_concurrency(). Clamped to
-  // [1, units]. The merged report does not depend on this value.
-  int threads = 1;
-  std::uint64_t seed = 42;
-  // Tumbling-window cadence of the per-unit health monitor
-  // (obs::DefaultSloRules()); 0 disables health monitoring. Driven by each
-  // unit's own sim clock, so the reports are thread-count independent.
-  sim::Duration health_window = sim::Seconds(10);
-  // Per-unit template; `unit_id` and `seed` are overwritten per unit.
-  ClusterOptions cluster;
-};
-
-// What a workload body sees for one deploy unit. Everything here is
-// unit-local; the body runs with the obs singletons redirected to the
-// unit's own registries and must not touch state outside the context.
-struct UnitContext {
-  int unit_id = 0;
-  std::uint64_t seed = 0;
-  Cluster* cluster = nullptr;
-  Rng* rng = nullptr;  // workload stream, independent of the cluster's
-};
-
-struct UnitReport {
-  int unit_id = 0;
-  std::uint64_t seed = 0;
-  sim::Time sim_end = 0;                 // unit sim clock when done
-  std::uint64_t events_processed = 0;    // simulator events fired
-  std::uint64_t trace_completed = 0;
-  std::uint64_t trace_dropped = 0;
-  // FNV-1a fingerprint of the unit's trace buffer (obs::TraceDigest):
-  // asserting it across thread counts asserts the whole causal forest.
-  std::uint64_t trace_digest = 0;
-  std::size_t allocation_count = 0;
-  std::string allocations;  // Master::DumpAllocations() of the active master
-  // obs::HealthMonitor::ReportJson() for this unit; empty if health
-  // monitoring was disabled or the workload threw.
-  std::string health_json;
-  obs::MetricsSnapshot metrics;
-  std::string error;  // nonempty if the workload body threw
-};
-
-struct FleetReport {
-  std::vector<UnitReport> units;  // indexed by unit id
-  std::uint64_t total_events = 0;
-  sim::Time total_sim_time = 0;  // summed across units
-  // Wall-clock of the Run() call. Measurement only — deliberately absent
-  // from ToJson(), which must be a pure function of the fleet inputs.
-  double wall_seconds = 0;
-
-  // Counters summed across all units.
-  std::map<std::string, std::uint64_t> MergedCounters() const;
-
-  // Canonical deterministic rendering: seeds, event counts, per-unit
-  // counters + histogram counts + trace counts + allocation tables, and
-  // the merged counters. Bit-identical across runs and thread counts.
-  std::string ToJson() const;
-};
-
-class Fleet {
- public:
-  using Workload = std::function<void(UnitContext&)>;
-
-  explicit Fleet(FleetOptions options) : options_(std::move(options)) {}
-
-  // Runs `workload` once per unit (units may run concurrently, so the
-  // callable must be safe to invoke from multiple threads at once; all
-  // mutable state should live in the UnitContext).
-  FleetReport Run(const Workload& workload);
-
- private:
-  FleetOptions options_;
-};
-
-// --- Fleet end-to-end on the sharded engine (DESIGN.md §14) -----------------
-//
-// The serial Fleet above runs each deploy unit as a plain core::Cluster
-// workload. ShardedFleet instead builds a core::ShardedCluster per unit —
-// the full PR 8/9 stack: vectorized SoA data plane, control pump, and
-// (optionally) the sharded Master with per-group meta leases — so the
-// whole fleet rides sim::UnitEngine. Two nested levels of parallelism:
-// `threads` outer workers each own one unit at a time, and every unit may
-// itself run its ShardedEngine with `unit.threads` inner workers.
-//
-// Same determinism contract as Fleet: unit k's seed is FleetUnitSeed(seed,
-// k); per-unit reports land in per-unit slots and merge in unit order;
-// ShardedClusterReport is already a pure function of (options, seed) at
-// any shard/thread count. ShardedFleetReport::ToJson() is therefore
-// bit-identical for any (outer threads × inner shards × inner threads),
-// sharded engine or single-queue oracle — tests/fleet_test.cc asserts it.
 
 struct ShardedFleetOptions {
   int units = 1;

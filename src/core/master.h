@@ -96,7 +96,7 @@ class Master {
   std::uint64_t meta_lookups_served() const { return meta_lookups_served_; }
 
   // Canonical one-line-per-space rendering of StorAlloc (sorted by id) —
-  // the fleet harness compares these across runs for determinism checks.
+  // ShardedClusterReport digests it for its determinism checks.
   std::string DumpAllocations() const;
 
   // --- Stripe introspection (DESIGN.md §16) -----------------------------------

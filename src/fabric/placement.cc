@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/hash.h"
+
 namespace ustore::fabric {
 
 namespace {
-
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 // Salt so a stripe's spare probe decorrelates from its original probe —
 // otherwise the spare would start at the stripe's own (excluded) domains

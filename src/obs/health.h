@@ -16,10 +16,10 @@
 //     windows, and alerts render to a canonical JSON report.
 //
 // Everything is driven by simulated time and deterministic arithmetic, so
-// for a fixed seed the report is bit-identical across repeated runs and
-// across core::Fleet thread counts (each fleet unit monitors its own
-// ScopedObsBinding-local registry). DESIGN.md §11 documents the rule
-// grammar and the determinism guarantees.
+// for a fixed seed the report is bit-identical across repeated runs (the
+// chaos harness embeds it in its report, which
+// ChaosEngineTest.FixedSeedReportIsBitIdentical pins). DESIGN.md §11
+// documents the rule grammar and the determinism guarantees.
 #pragma once
 
 #include <cstdint>
@@ -125,7 +125,7 @@ class HealthMonitor {
 
   // Canonical JSON {window_ns, windows, rules:[...], alerts:[...]} —
   // deterministic field order and number formatting, suitable for
-  // bit-identical comparison across runs and fleet thread counts.
+  // bit-identical comparison across runs.
   std::string ReportJson() const;
 
  private:
@@ -142,7 +142,7 @@ class HealthMonitor {
   int windows_ = 0;
 };
 
-// The stock rule set fleet units and the chaos harness monitor with:
+// The stock rule set the chaos harness monitors with:
 // cold-read p99 latency, write p99 latency, master retry rate, disk queue
 // depth, and RPC timeout rate. Thresholds are generous enough that a
 // healthy steady-state run stays quiet.

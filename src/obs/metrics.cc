@@ -239,9 +239,15 @@ std::atomic<std::uint64_t> next_obs_epoch{1};
 
 // Every emitted log line bumps a per-level counter on the *current*
 // registry (so unit-local registries see their own log traffic), installed
-// once on the process-wide logger. The magic-static initialization is
-// forced from main-thread singleton construction before any fleet worker
-// starts (Fleet::Run touches Metrics() first).
+// once on the process-wide logger by the first Metrics() call. The magic
+// static runs the installation exactly once and makes every other
+// Metrics() caller wait for it, so a thread that has called Metrics() sees
+// the observer when it logs. Only a log line from a thread that has never
+// called Metrics(), written during the process's first Metrics() call,
+// could race with the installation. No worker does that: a fleet worker's
+// unit calls obs::BindSimulator, and with it Metrics(), in its Cluster
+// constructor before anything logs, and engine shard workers start only
+// after that constructor has run.
 void InstallLogObserverOnce() {
   static const bool installed = [] {
     Logger::Instance().set_write_observer([](LogLevel level) {

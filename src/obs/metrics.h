@@ -16,11 +16,12 @@
 // stack need no plumbing; experiments call `Reset()` between runs and
 // `BindSimulator()` so snapshots carry simulated — not wall-clock — time.
 //
-// Parallel fleet runs (core::Fleet) redirect the singletons per thread: a
-// ScopedObsBinding installed on a worker thread makes obs::Metrics() and
-// obs::Tracer() resolve to unit-local instances for the binding's lifetime,
-// so N deploy-unit simulations can run concurrently without sharing (or
-// locking) any observability state. Within one binding everything remains
+// Parallel runs (core::RunShardedFleet's units, a ShardedCluster's groups)
+// redirect the singletons per thread: a ScopedObsBinding installed on a
+// worker thread makes obs::Metrics() and obs::Tracer() resolve to
+// unit-local instances for the binding's lifetime, so N deploy-unit
+// simulations can run concurrently without sharing (or locking) any
+// observability state. Within one binding everything remains
 // single-threaded, like the simulator it observes.
 #pragma once
 

@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/hash.h"
+
 namespace ustore::obs {
 
 namespace {
@@ -408,13 +410,7 @@ std::string DumpChromeTraceJson(const TraceBuffer& buffer) {
 }
 
 std::uint64_t TraceDigest(const TraceBuffer& buffer) {
-  const std::string json = DumpTraceJson(buffer);
-  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a 64-bit offset basis
-  for (const char c : json) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
+  return Fnv1a(DumpTraceJson(buffer));
 }
 
 }  // namespace ustore::obs

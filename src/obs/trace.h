@@ -238,8 +238,8 @@ std::string DumpChromeTraceJson(const TraceBuffer& buffer);
 std::string DumpChromeTraceJson(const std::vector<TraceSpan>& spans);
 
 // FNV-1a over the canonical DumpTraceJson rendering: a deterministic
-// fingerprint of the whole buffer, used by fleet reports to assert
-// bit-identical traces across thread counts.
+// fingerprint of the whole buffer, used by the sharded-cluster reports to
+// assert bit-identical traces across shard and thread counts.
 std::uint64_t TraceDigest(const TraceBuffer& buffer);
 
 }  // namespace ustore::obs

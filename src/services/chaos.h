@@ -179,7 +179,7 @@ class ChaosEngine {
 
   // Schedules every plan op plus the probe/invariant sweep onto the
   // cluster's simulator. The caller advances sim time (RunToCompletion, or
-  // externally when embedded in a Fleet workload).
+  // externally when embedded in a larger workload).
   void Arm(const ChaosPlan& plan);
 
   // True once every op has been applied and every fault window has closed

@@ -16,7 +16,7 @@
 // into destination heaps at the barrier between epochs.
 //
 // Determinism contract (the same oracle pattern as the bandwidth solver and
-// the Fleet merge):
+// the fleet merge):
 //
 //   * The existing single-queue sim::Simulator is the bit-exactness oracle:
 //     SingleQueueEngine runs the same model on one Simulator, and sharded

@@ -3,6 +3,7 @@
 #include <set>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -84,6 +85,20 @@ TEST(UnitsTest, FormatBytes) {
   EXPECT_EQ(FormatBytes(MiB(4)), "4.0 MiB");
   EXPECT_EQ(FormatBytes(TB(3)), "3.0 TB");
   EXPECT_EQ(FormatBytes(512), "512 B");
+}
+
+// --- Hash mixers ---------------------------------------------------------------
+
+// Every report digest, trace digest and derived seed is built from these
+// two functions, so an edit that changes them moves every pinned digest.
+TEST(HashTest, KnownAnswers) {
+  EXPECT_EQ(Fnv1a(""), 0x14650fb0739d0383ULL);  // = kTruncatedFnvBasis
+  EXPECT_EQ(Fnv1a("a"), 0x44bd8ad473cd9906ULL);
+  EXPECT_EQ(SplitMix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(SeedFromId("a"), Fnv1a("a"));
+  // Rng seeds its xoshiro state from consecutive splitmix64 outputs.
+  EXPECT_EQ(Rng(0).NextU64(), 0x53175d61490b23dfULL);
+  EXPECT_EQ(Rng(42).NextU64(), 0xd0764d4f4476689fULL);
 }
 
 // --- Rng ----------------------------------------------------------------------

@@ -1,17 +1,19 @@
-// core::Fleet determinism and per-thread observability scoping.
+// core::RunShardedFleet determinism and per-thread observability scoping.
 //
-// The fleet contract (DESIGN.md §8): the merged report is a pure function
-// of (fleet seed, unit count, workload) — the thread count must not leak
-// into any reported value. These tests run the same fleet serially and on
-// a pool and require bit-identical merged JSON, and separately pin the
-// ScopedObsBinding mechanics the fleet relies on for isolation.
+// The fleet contract (DESIGN.md §14): every deploy unit is a
+// ShardedCluster, and the merged report is a pure function of (fleet seed,
+// options) — neither the outer thread count nor the units' inner shard and
+// thread counts may leak into any reported value. These tests run the same
+// fleet on the single-queue oracle and across that matrix and require
+// bit-identical merged JSON, check that each unit reports the same alone
+// as in a fleet without touching the process-wide registry, and
+// separately pin the ScopedObsBinding mechanics the fleet relies on for
+// isolation.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/fleet.h"
 #include "obs/metrics.h"
@@ -19,37 +21,6 @@
 
 namespace ustore::core {
 namespace {
-
-// A small deterministic workload: mount two volumes, mix archival writes
-// with cold reads, all randomness from the unit context's stream.
-void SmallWorkload(UnitContext& ctx) {
-  Cluster& cluster = *ctx.cluster;
-  auto client =
-      cluster.MakeClient("fleet-client-u" + std::to_string(ctx.unit_id));
-  std::vector<ClientLib::Volume*> volumes;
-  for (int i = 0; i < 2; ++i) {
-    client->AllocateAndMount("fleet-svc", GiB(1),
-                             [&](Result<ClientLib::Volume*> r) {
-                               if (r.ok()) volumes.push_back(*r);
-                             });
-  }
-  cluster.RunFor(sim::Seconds(10));
-  ASSERT_FALSE(volumes.empty());
-  std::uint64_t tag = 1;
-  for (int op = 0; op < 12; ++op) {
-    ClientLib::Volume* volume =
-        volumes[ctx.rng->NextBelow(volumes.size())];
-    if (ctx.rng->NextBool(0.4)) {
-      volume->Write(MiB(ctx.rng->NextBelow(512)), MiB(1), false, tag++,
-                    [](Status) {});
-    } else {
-      volume->Read(MiB(ctx.rng->NextBelow(512)), KiB(128), true,
-                   [](Result<std::uint64_t>) {});
-    }
-    cluster.RunFor(sim::MillisD(250));
-  }
-  cluster.RunFor(sim::Seconds(2));
-}
 
 TEST(FleetUnitSeedTest, DistinctAndStable) {
   std::set<std::uint64_t> seeds;
@@ -61,66 +32,7 @@ TEST(FleetUnitSeedTest, DistinctAndStable) {
   EXPECT_NE(FleetUnitSeed(42, 0), FleetUnitSeed(43, 0));
 }
 
-TEST(FleetTest, MergedReportIsIdenticalAcrossThreadCounts) {
-  FleetOptions options;
-  options.units = 3;
-  options.seed = 2026;
-
-  options.threads = 1;
-  const FleetReport serial = Fleet(options).Run(SmallWorkload);
-  options.threads = 8;
-  const FleetReport threaded = Fleet(options).Run(SmallWorkload);
-
-  ASSERT_EQ(serial.units.size(), 3u);
-  ASSERT_EQ(threaded.units.size(), 3u);
-  for (int unit = 0; unit < 3; ++unit) {
-    const UnitReport& a = serial.units[static_cast<std::size_t>(unit)];
-    const UnitReport& b = threaded.units[static_cast<std::size_t>(unit)];
-    EXPECT_EQ(a.error, "") << "unit " << unit;
-    EXPECT_EQ(a.seed, b.seed) << "unit " << unit;
-    EXPECT_EQ(a.sim_end, b.sim_end) << "unit " << unit;
-    EXPECT_EQ(a.events_processed, b.events_processed) << "unit " << unit;
-    EXPECT_EQ(a.trace_completed, b.trace_completed) << "unit " << unit;
-    // The whole causal forest, fingerprinted: identical spans, ids, attrs
-    // and timestamps regardless of which worker thread ran the unit.
-    EXPECT_EQ(a.trace_digest, b.trace_digest) << "unit " << unit;
-    // And the SLO engine's full report (windows, rules, alert stream).
-    EXPECT_FALSE(a.health_json.empty()) << "unit " << unit;
-    EXPECT_EQ(a.health_json, b.health_json) << "unit " << unit;
-    EXPECT_EQ(a.allocations, b.allocations) << "unit " << unit;
-    EXPECT_EQ(a.metrics.counters, b.metrics.counters) << "unit " << unit;
-  }
-  EXPECT_EQ(serial.MergedCounters(), threaded.MergedCounters());
-  // The full contract: canonical rendering is bit-identical.
-  EXPECT_EQ(serial.ToJson(), threaded.ToJson());
-  // And the workload actually did something worth comparing.
-  EXPECT_GT(serial.total_events, 0u);
-  const auto merged = serial.MergedCounters();
-  EXPECT_GT(merged.at("iscsi.target.reads"), 0u);
-}
-
-TEST(FleetTest, UnitsGetIndependentSeedsAndDisjointMetrics) {
-  FleetOptions options;
-  options.units = 2;
-  options.threads = 2;
-  options.seed = 7;
-  const FleetReport report = Fleet(options).Run(SmallWorkload);
-  ASSERT_EQ(report.units.size(), 2u);
-  EXPECT_NE(report.units[0].seed, report.units[1].seed);
-  // Both units ran a full cluster + workload in isolated registries.
-  for (const UnitReport& unit : report.units) {
-    EXPECT_EQ(unit.error, "");
-    EXPECT_GT(unit.events_processed, 0u);
-    EXPECT_GT(unit.metrics.counters.at("master.heartbeats_received"), 0u);
-    EXPECT_FALSE(unit.allocations.empty());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fleet end-to-end on the sharded engine (DESIGN.md §14): every deploy unit
-// is a ShardedCluster, and the merged report must be bit-identical at any
-// (outer threads × inner shards × inner threads), sharded or oracle.
-
+// A 3-unit fleet of small prototype units, with chaos on.
 ShardedFleetOptions SmallShardedFleet(bool sharded_master) {
   ShardedFleetOptions options;
   options.units = 3;
@@ -174,8 +86,18 @@ TEST(ShardedFleetTest, UnitsAreIndependentAndMergedInOrder) {
   ShardedFleetOptions options = SmallShardedFleet(true);
   options.threads = 2;
   options.unit.shards = 2;
+  options.unit.threads = 2;
+
+  // Nothing the units record lands in the process-wide registry or tracer.
+  obs::Metrics().Clear();
+  const std::size_t trace_before = obs::Tracer().completed_count();
   const ShardedFleetReport report = RunShardedFleet(options);
   ASSERT_EQ(report.units.size(), 3u);
+  const obs::MetricsSnapshot global = obs::Metrics().Snapshot();
+  EXPECT_TRUE(global.counters.empty());
+  EXPECT_TRUE(global.gauges.empty());
+  EXPECT_TRUE(global.histograms.empty());
+  EXPECT_EQ(obs::Tracer().completed_count(), trace_before);
   ASSERT_EQ(report.unit_seeds.size(), 3u);
 
   // Derived seeds are the fleet contract ones, and distinct.
@@ -201,6 +123,16 @@ TEST(ShardedFleetTest, UnitsAreIndependentAndMergedInOrder) {
   }
   EXPECT_EQ(report.merged.counters.at("cluster.unit.io.ops"), ops);
   EXPECT_GT(ops, 0u);
+
+  // Units share nothing: each reports exactly what it reports run alone.
+  for (int unit = 0; unit < 3; ++unit) {
+    ShardedClusterOptions alone = options.unit;
+    alone.cluster.unit_id = unit;
+    alone.cluster.seed = FleetUnitSeed(options.seed, unit);
+    EXPECT_EQ(RunShardedCluster(alone, true).ToJson(),
+              report.units[static_cast<std::size_t>(unit)].ToJson())
+        << "unit " << unit;
+  }
 }
 
 TEST(ScopedObsBindingTest, RedirectsAndRestoresPerThread) {

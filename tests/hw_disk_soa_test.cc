@@ -1,132 +1,19 @@
-// Model-level tests for the sharded engine stack (DESIGN.md §12):
-//
-//   * fabric::ShardPlan partitioning of real topologies;
-//   * hw::DiskStateArray timing equivalence against a real hw::Disk;
-//   * obs::MergeSnapshots determinism;
-//   * the determinism fuzz the issue calls for: chaos-style random
-//     workloads through core::ShardedUnit at 1/2/4/8 shards and several
-//     thread counts, asserting bit-identical reports (JSON + digest,
-//     which embed the per-group metric JSON and trace digests) against
-//     the single-queue oracle.
-#include "core/sharded_unit.h"
-
+// hw::DiskStateArray against a real hw::Disk (DESIGN.md §12): the SoA
+// closed-form batch drain schedules must be bit-exact with the per-request
+// disk model, and the vectorized range sweeps bit-exact with a loop of the
+// per-disk calls.
 #include <algorithm>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
-
-#include "core/cluster.h"
-#include "fabric/builders.h"
-#include "fabric/shard_plan.h"
 #include "gtest/gtest.h"
 #include "hw/disk.h"
 #include "hw/disk_soa.h"
-#include "obs/metrics.h"
 #include "sim/simulator.h"
 
 namespace ustore {
 namespace {
-
-// --------------------------------------------------------------------------
-// fabric::ShardPlan
-
-TEST(ShardPlanTest, PartitionsPrototypeFabricByRootSubtree) {
-  fabric::BuiltFabric built = fabric::BuildPrototypeFabric();
-  fabric::ShardPlanOptions options;
-  options.shards = 3;
-  const fabric::ShardPlan plan = fabric::BuildShardPlan(built.topology, options);
-
-  EXPECT_GT(plan.groups(), 0);
-  EXPECT_EQ(plan.shards, 3);
-  EXPECT_GT(plan.lookahead, 0);
-
-  // Every attached disk belongs to a group and a shard.
-  for (const fabric::NodeIndex disk : built.disks) {
-    EXPECT_GE(plan.GroupOf(disk), 0) << built.topology.node(disk).name;
-    EXPECT_GE(plan.ShardOf(disk), 0);
-    EXPECT_LT(plan.ShardOf(disk), plan.shards);
-  }
-  // Host ports belong to no group.
-  for (const fabric::NodeIndex port : built.host_ports) {
-    EXPECT_EQ(plan.GroupOf(port), -1);
-  }
-  // A node shares its group with its subtree root.
-  for (int g = 0; g < plan.groups(); ++g) {
-    EXPECT_EQ(plan.GroupOf(plan.group_root[g]), g);
-  }
-  // Contiguous balanced assignment: non-decreasing, all shards used.
-  std::vector<int> used(plan.shards, 0);
-  for (int g = 1; g < plan.groups(); ++g) {
-    EXPECT_GE(plan.group_shard[g], plan.group_shard[g - 1]);
-  }
-  for (int g = 0; g < plan.groups(); ++g) ++used[plan.group_shard[g]];
-  for (int s = 0; s < plan.shards; ++s) EXPECT_GT(used[s], 0);
-}
-
-TEST(ShardPlanTest, DetachedSubtreeGetsNoGroup) {
-  fabric::BuiltFabric built = fabric::BuildSingleHostTree({.disks = 8});
-  // Fail one root hub: its disks dangle and must be unassigned.
-  const fabric::NodeIndex hub = built.hubs.front();
-  built.topology.SetFailed(hub, true);
-  const fabric::ShardPlan plan =
-      fabric::BuildShardPlan(built.topology, {.shards = 2});
-  int unassigned = 0;
-  for (const fabric::NodeIndex disk : built.disks) {
-    if (plan.GroupOf(disk) < 0) ++unassigned;
-  }
-  EXPECT_GT(unassigned, 0);
-  EXPECT_LT(unassigned, static_cast<int>(built.disks.size()));
-}
-
-TEST(ShardPlanTest, ShardCountClampsToGroups) {
-  fabric::BuiltFabric built = fabric::BuildSingleHostTree({.disks = 4});
-  const fabric::ShardPlan plan =
-      fabric::BuildShardPlan(built.topology, {.shards = 64});
-  EXPECT_LE(plan.shards, plan.groups());
-  EXPECT_GE(plan.shards, 1);
-}
-
-TEST(ShardPlanTest, SingleRootFabricCollapsesToOneGroup) {
-  // 4 disks at fan-in 4: one hub on one root port — a single root subtree,
-  // so any requested shard count degenerates to serial.
-  fabric::BuiltFabric built = fabric::BuildSingleHostTree({.disks = 4});
-  const fabric::ShardPlan plan =
-      fabric::BuildShardPlan(built.topology, {.shards = 4});
-  EXPECT_EQ(plan.groups(), 1);
-  EXPECT_EQ(plan.shards, 1);
-  for (const fabric::NodeIndex disk : built.disks) {
-    EXPECT_EQ(plan.GroupOf(disk), 0);
-    EXPECT_EQ(plan.ShardOf(disk), 0);
-  }
-}
-
-TEST(ShardPlanTest, MoreShardsThanGroupsPinsOneGroupPerShard) {
-  fabric::BuiltFabric built = fabric::BuildPrototypeFabric();  // 4 subtrees
-  const fabric::ShardPlan plan =
-      fabric::BuildShardPlan(built.topology, {.shards = 64});
-  EXPECT_EQ(plan.shards, plan.groups());
-  for (int g = 0; g < plan.groups(); ++g) {
-    EXPECT_EQ(plan.group_shard[g], g);
-  }
-}
-
-TEST(ShardPlanTest, ZeroDelayLinksStillGetPositiveLookahead) {
-  // A zero lookahead would let cross-shard deliveries land "now" and break
-  // the conservative contract; the plan clamps the floor to 1 ns.
-  fabric::BuiltFabric built = fabric::BuildPrototypeFabric();
-  fabric::ShardPlanOptions options;
-  options.shards = 2;
-  options.rpc_floor = 0;
-  options.usb_hop = 0;
-  const fabric::ShardPlan plan =
-      fabric::BuildShardPlan(built.topology, options);
-  EXPECT_EQ(plan.lookahead, 1);
-  EXPECT_EQ(plan.shards, 2);
-}
-
-// --------------------------------------------------------------------------
-// hw::DiskStateArray vs hw::Disk: bit-exact batch drain schedules.
 
 std::vector<hw::IoCompletion> DriveRealDisk(
     sim::Simulator& sim, hw::Disk& disk,
@@ -486,136 +373,6 @@ TEST(DiskStateArrayTest, RangeDrainChainsLikePerDisk) {
     EXPECT_EQ(range_path.state(d), loop_path.state(d));
     EXPECT_EQ(range_path.queue_depth(d), 0);
   }
-}
-
-// --------------------------------------------------------------------------
-// obs::MergeSnapshots
-
-TEST(MergeSnapshotsTest, SumsCountersAndMergesHistograms) {
-  obs::MetricsRegistry a, b;
-  a.Increment("x.count", 3);
-  b.Increment("x.count", 4);
-  b.Increment("y.count", 1);
-  a.Observe("x.lat_us", 10.0);
-  a.Observe("x.lat_us", 20.0);
-  b.Observe("x.lat_us", 1000.0);
-  a.GetGauge("x.g").Set(1.0, 10);
-  b.GetGauge("x.g").Set(2.0, 20);  // newer: wins
-
-  const obs::MetricsSnapshot merged =
-      obs::MergeSnapshots({a.Snapshot(), b.Snapshot()});
-  EXPECT_EQ(merged.counters.at("x.count"), 7u);
-  EXPECT_EQ(merged.counters.at("y.count"), 1u);
-  const auto& h = merged.histograms.at("x.lat_us");
-  EXPECT_EQ(h.count, 3u);
-  EXPECT_DOUBLE_EQ(h.sum, 1030.0);
-  EXPECT_DOUBLE_EQ(h.min, 10.0);
-  EXPECT_DOUBLE_EQ(h.max, 1000.0);
-  EXPECT_GT(h.p50, 0.0);
-  EXPECT_DOUBLE_EQ(merged.gauges.at("x.g").value, 2.0);
-  EXPECT_EQ(merged.gauges.at("x.g").samples.size(), 2u);
-
-  // Pure function of the parts: merging twice is bit-identical.
-  const obs::MetricsSnapshot again =
-      obs::MergeSnapshots({a.Snapshot(), b.Snapshot()});
-  EXPECT_EQ(again.counters, merged.counters);
-}
-
-// --------------------------------------------------------------------------
-// The determinism fuzz: sharded engine vs single-queue oracle.
-
-core::ShardedUnitOptions FuzzOptions(std::uint64_t seed, bool chaos) {
-  core::ShardedUnitOptions options;
-  options.groups = 8;
-  options.disks_per_group = 4;
-  options.seed = seed;
-  options.duration = sim::Seconds(2);
-  options.burst_period = sim::Millis(40);
-  options.burst_ops = 16;
-  options.request_size = KiB(256);
-  options.report_period = sim::Millis(100);
-  options.master_tick = sim::Millis(200);
-  options.directive_every_ops = 512;
-  options.idle_timeout = sim::Millis(300);
-  options.fault_probability = chaos ? 0.05 : 0.0;
-  return options;
-}
-
-TEST(ShardedUnitDeterminismTest, BitIdenticalAcrossShardAndThreadCounts) {
-  for (const std::uint64_t seed : {7ull, 99ull}) {
-    for (const bool chaos : {false, true}) {
-      core::ShardedUnitOptions options = FuzzOptions(seed, chaos);
-      options.shards = 1;
-      const core::ShardedUnitReport oracle =
-          core::RunShardedUnit(options, /*use_sharded=*/false);
-      const std::string oracle_json = oracle.ToJson();
-      ASSERT_GT(oracle.events_processed, 100u);
-      ASSERT_GT(oracle.per_group[0].ops, 0u);
-
-      for (const int shards : {1, 2, 4, 8}) {
-        for (const int threads : {1, 4}) {
-          core::ShardedUnitOptions run = FuzzOptions(seed, chaos);
-          run.shards = shards;
-          run.threads = threads;
-          const core::ShardedUnitReport sharded =
-              core::RunShardedUnit(run, /*use_sharded=*/true);
-          EXPECT_EQ(sharded.ToJson(), oracle_json)
-              << "seed=" << seed << " chaos=" << chaos
-              << " shards=" << shards << " threads=" << threads;
-          EXPECT_EQ(sharded.Digest(), oracle.Digest());
-          EXPECT_EQ(sharded.events_processed, oracle.events_processed);
-          for (int g = 0; g < options.groups; ++g) {
-            EXPECT_EQ(sharded.per_group[g].trace_digest,
-                      oracle.per_group[g].trace_digest)
-                << "group " << g;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(ShardedUnitDeterminismTest, OracleMatchesItselfAtEmulatedShardCounts) {
-  // The oracle emulates any shard count on one queue; the report must not
-  // depend on the emulated count either.
-  core::ShardedUnitOptions options = FuzzOptions(5, true);
-  options.shards = 1;
-  const std::string one = core::RunShardedUnit(options, false).ToJson();
-  options.shards = 4;
-  EXPECT_EQ(core::RunShardedUnit(options, false).ToJson(), one);
-}
-
-TEST(ShardedUnitTest, WorkloadActuallyExercisesTheModel) {
-  core::ShardedUnitOptions options = FuzzOptions(11, true);
-  options.shards = 4;
-  options.threads = 2;
-  const core::ShardedUnitReport report = core::RunShardedUnit(options, true);
-  EXPECT_EQ(report.groups, 8);
-  std::uint64_t ops = 0, spin_downs = 0, directives = 0, faults = 0;
-  for (const auto& grp : report.per_group) {
-    ops += grp.ops;
-    spin_downs += grp.spin_downs;
-    directives += grp.directives;
-    faults += grp.faults;
-    EXPECT_GT(grp.reports_sent, 0u);
-    EXPECT_NE(grp.trace_digest, 0u);
-  }
-  EXPECT_GT(ops, 0u);
-  EXPECT_GT(spin_downs, 0u);        // idle spin-down policy engaged
-  EXPECT_GT(directives, 0u);        // master -> endpoint control traffic
-  EXPECT_GT(faults, 0u);            // chaos injection ran
-  EXPECT_GT(report.master_ticks, 0u);
-  EXPECT_EQ(report.master_directives, directives);
-  EXPECT_GT(report.merged.counters.at("unit.io.ops"), 0u);
-}
-
-TEST(ShardedUnitTest, ClusterExposesShardPlanForItsFabric) {
-  core::ClusterOptions options;
-  core::Cluster cluster(options);
-  const fabric::ShardPlan plan = cluster.BuildShardPlan(2);
-  EXPECT_GE(plan.groups(), 1);
-  EXPECT_LE(plan.shards, std::max(plan.groups(), 1));
-  EXPECT_GT(plan.lookahead, sim::Micros(200));  // rpc floor + usb hop
 }
 
 }  // namespace

@@ -502,11 +502,44 @@ TEST_F(ObsTest, HealthMonitorFinalizeFlushesPartialWindow) {
 }
 
 // ---------------------------------------------------------------------------
-// MergeSnapshots edge cases. The fleet/sharded reports merge per-unit and
-// per-group registries that may be empty (a unit whose workload never ran)
-// or only partially overlapping (different groups touch different
-// instruments); the merge must stay well-defined and order-independent on
-// the non-overlapping parts.
+// MergeSnapshots: the deterministic roll-up of per-group and per-unit
+// registries behind the sharded-cluster and fleet reports.
+
+TEST(MergeSnapshotsTest, SumsCountersAndMergesHistograms) {
+  MetricsRegistry a, b;
+  a.Increment("x.count", 3);
+  b.Increment("x.count", 4);
+  b.Increment("y.count", 1);
+  a.Observe("x.lat_us", 10.0);
+  a.Observe("x.lat_us", 20.0);
+  b.Observe("x.lat_us", 1000.0);
+  a.GetGauge("x.g").Set(1.0, 10);
+  b.GetGauge("x.g").Set(2.0, 20);  // newer: wins
+
+  const MetricsSnapshot merged =
+      MergeSnapshots({a.Snapshot(), b.Snapshot()});
+  EXPECT_EQ(merged.counters.at("x.count"), 7u);
+  EXPECT_EQ(merged.counters.at("y.count"), 1u);
+  const auto& h = merged.histograms.at("x.lat_us");
+  EXPECT_EQ(h.count, 3u);
+  EXPECT_DOUBLE_EQ(h.sum, 1030.0);
+  EXPECT_DOUBLE_EQ(h.min, 10.0);
+  EXPECT_DOUBLE_EQ(h.max, 1000.0);
+  EXPECT_GT(h.p50, 0.0);
+  EXPECT_DOUBLE_EQ(merged.gauges.at("x.g").value, 2.0);
+  EXPECT_EQ(merged.gauges.at("x.g").samples.size(), 2u);
+
+  // Pure function of the parts: merging twice is bit-identical.
+  const MetricsSnapshot again =
+      MergeSnapshots({a.Snapshot(), b.Snapshot()});
+  EXPECT_EQ(again.counters, merged.counters);
+}
+
+// Edge cases. The fleet/sharded reports merge per-unit and per-group
+// registries that may be empty (a unit whose workload never ran) or only
+// partially overlapping (different groups touch different instruments);
+// the merge must stay well-defined and order-independent on the
+// non-overlapping parts.
 
 TEST_F(ObsTest, MergeSnapshotsOfNothingIsEmpty) {
   const MetricsSnapshot merged = MergeSnapshots({});

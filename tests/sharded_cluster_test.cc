@@ -11,9 +11,12 @@
 // and final clock), its FNV digest, and the engine event count.
 #include "core/cluster_sharded.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "core/cluster.h"
 #include "core/master_shard.h"
 #include "gtest/gtest.h"
 #include "sim/time.h"
@@ -45,34 +48,51 @@ core::ShardedClusterOptions FuzzOptions(std::uint64_t seed, bool chaos) {
   return options;
 }
 
-TEST(ShardedClusterDeterminismTest, BitIdenticalAcrossShardAndThreadCounts) {
-  for (const bool chaos : {false, true}) {
-    core::ShardedClusterOptions options = FuzzOptions(7, chaos);
-    options.shards = 1;
-    const core::ShardedClusterReport oracle =
-        core::RunShardedCluster(options, /*use_sharded=*/false);
-    const std::string oracle_json = oracle.ToJson();
-    ASSERT_GT(oracle.events_processed, 100u);
-    ASSERT_EQ(oracle.groups, 4);
+// The fabric inputs of the determinism matrices: the 4-group prototype,
+// where 8 shards clamp to the 4 subtrees, and an 8-group fabric, where
+// 8 shards run one group each.
+struct FabricInput {
+  int groups;
+  std::vector<int> shards;
+};
 
-    for (const int shards : {1, 2, 4, 8}) {  // 8 clamps to the 4 subtrees
-      for (const int threads : {1, 4}) {
-        core::ShardedClusterOptions run = FuzzOptions(7, chaos);
-        run.shards = shards;
-        run.threads = threads;
-        const core::ShardedClusterReport sharded =
-            core::RunShardedCluster(run, /*use_sharded=*/true);
-        EXPECT_EQ(sharded.ToJson(), oracle_json)
-            << "chaos=" << chaos << " shards=" << shards
-            << " threads=" << threads;
-        EXPECT_EQ(sharded.Digest(), oracle.Digest());
-        EXPECT_EQ(sharded.events_processed, oracle.events_processed);
-        EXPECT_EQ(sharded.cluster_events, oracle.cluster_events);
-        EXPECT_EQ(sharded.control_trace_digest, oracle.control_trace_digest);
-        for (int g = 0; g < oracle.groups; ++g) {
-          EXPECT_EQ(sharded.per_group[g].trace_digest,
-                    oracle.per_group[g].trace_digest)
-              << "group " << g;
+const std::vector<FabricInput>& FabricInputs() {
+  static const std::vector<FabricInput> inputs = {{4, {1, 2, 4, 8}},
+                                                  {8, {2, 8}}};
+  return inputs;
+}
+
+TEST(ShardedClusterDeterminismTest, BitIdenticalAcrossShardAndThreadCounts) {
+  for (const FabricInput& input : FabricInputs()) {
+    for (const bool chaos : {false, true}) {
+      core::ShardedClusterOptions options = FuzzOptions(7, chaos);
+      options.cluster.fabric.groups = input.groups;
+      options.shards = 1;
+      const core::ShardedClusterReport oracle =
+          core::RunShardedCluster(options, /*use_sharded=*/false);
+      const std::string oracle_json = oracle.ToJson();
+      ASSERT_GT(oracle.events_processed, 100u);
+      ASSERT_EQ(oracle.groups, input.groups);
+
+      for (const int shards : input.shards) {
+        for (const int threads : {1, 4}) {
+          core::ShardedClusterOptions run = options;
+          run.shards = shards;
+          run.threads = threads;
+          const core::ShardedClusterReport sharded =
+              core::RunShardedCluster(run, /*use_sharded=*/true);
+          EXPECT_EQ(sharded.ToJson(), oracle_json)
+              << "groups=" << input.groups << " chaos=" << chaos
+              << " shards=" << shards << " threads=" << threads;
+          EXPECT_EQ(sharded.Digest(), oracle.Digest());
+          EXPECT_EQ(sharded.events_processed, oracle.events_processed);
+          EXPECT_EQ(sharded.cluster_events, oracle.cluster_events);
+          EXPECT_EQ(sharded.control_trace_digest, oracle.control_trace_digest);
+          for (int g = 0; g < oracle.groups; ++g) {
+            EXPECT_EQ(sharded.per_group[g].trace_digest,
+                      oracle.per_group[g].trace_digest)
+                << "group " << g;
+          }
         }
       }
     }
@@ -103,6 +123,16 @@ TEST(ShardedClusterDeterminismTest, OracleMatchesItselfAtEmulatedShards) {
   const std::string one = core::RunShardedCluster(options, false).ToJson();
   options.shards = 4;
   EXPECT_EQ(core::RunShardedCluster(options, false).ToJson(), one);
+}
+
+TEST(ShardedClusterTest, ClusterExposesShardPlanForItsFabric) {
+  // The plan a ShardedCluster partitions by, built for a plain Cluster.
+  core::ClusterOptions options;
+  core::Cluster cluster(options);
+  const fabric::ShardPlan plan = cluster.BuildShardPlan(2);
+  EXPECT_GE(plan.groups(), 1);
+  EXPECT_LE(plan.shards, std::max(plan.groups(), 1));
+  EXPECT_GT(plan.lookahead, sim::Micros(200));  // rpc floor + usb hop
 }
 
 TEST(ShardedClusterTest, WorkloadExercisesTheRealCluster) {
@@ -170,26 +200,30 @@ core::ShardedClusterOptions ShardedMasterOptions(std::uint64_t seed,
 }
 
 TEST(ShardedMasterDeterminismTest, BitIdenticalAcrossShardAndThreadCounts) {
-  for (const bool chaos : {false, true}) {
-    core::ShardedClusterOptions options = ShardedMasterOptions(7, chaos);
-    options.shards = 1;
-    const core::ShardedClusterReport oracle =
-        core::RunShardedCluster(options, /*use_sharded=*/false);
-    const std::string oracle_json = oracle.ToJson();
-    ASSERT_GT(oracle.events_processed, 100u);
+  for (const FabricInput& input : FabricInputs()) {
+    for (const bool chaos : {false, true}) {
+      core::ShardedClusterOptions options = ShardedMasterOptions(7, chaos);
+      options.cluster.fabric.groups = input.groups;
+      options.shards = 1;
+      const core::ShardedClusterReport oracle =
+          core::RunShardedCluster(options, /*use_sharded=*/false);
+      const std::string oracle_json = oracle.ToJson();
+      ASSERT_GT(oracle.events_processed, 100u);
+      ASSERT_EQ(oracle.groups, input.groups);
 
-    for (const int shards : {1, 2, 4, 8}) {
-      for (const int threads : {1, 4}) {
-        core::ShardedClusterOptions run = ShardedMasterOptions(7, chaos);
-        run.shards = shards;
-        run.threads = threads;
-        const core::ShardedClusterReport sharded =
-            core::RunShardedCluster(run, /*use_sharded=*/true);
-        EXPECT_EQ(sharded.ToJson(), oracle_json)
-            << "chaos=" << chaos << " shards=" << shards
-            << " threads=" << threads;
-        EXPECT_EQ(sharded.Digest(), oracle.Digest());
-        EXPECT_EQ(sharded.events_processed, oracle.events_processed);
+      for (const int shards : input.shards) {
+        for (const int threads : {1, 4}) {
+          core::ShardedClusterOptions run = options;
+          run.shards = shards;
+          run.threads = threads;
+          const core::ShardedClusterReport sharded =
+              core::RunShardedCluster(run, /*use_sharded=*/true);
+          EXPECT_EQ(sharded.ToJson(), oracle_json)
+              << "groups=" << input.groups << " chaos=" << chaos
+              << " shards=" << shards << " threads=" << threads;
+          EXPECT_EQ(sharded.Digest(), oracle.Digest());
+          EXPECT_EQ(sharded.events_processed, oracle.events_processed);
+        }
       }
     }
   }
