@@ -921,8 +921,7 @@ ShardedClusterReport ShardedCluster::BuildReport() {
     out.spin_cycles = grp.disks.total_spin_cycles();
     out.control_backlog = control_->inbox[g].size();
     out.trace_digest = obs::TraceDigest(grp.trace);
-    out.metrics = grp.metrics.Snapshot();
-    parts.push_back(out.metrics);
+    parts.push_back(grp.metrics.Snapshot());
     report.per_group.push_back(std::move(out));
   }
 
@@ -949,9 +948,14 @@ ShardedClusterReport ShardedCluster::BuildReport() {
   }
   control_metrics_.set_time_source({});
   report.control_trace_digest = obs::TraceDigest(control_trace_);
-  report.control_metrics = control_metrics_.Snapshot();
-  parts.push_back(report.control_metrics);
+  parts.push_back(control_metrics_.Snapshot());
   report.merged = obs::MergeSnapshots(parts);
+  // The snapshots move into the report rather than being copied: the
+  // control one holds a gauge per disk.
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    report.per_group[g].metrics = std::move(parts[g]);
+  }
+  report.control_metrics = std::move(parts.back());
   return report;
 }
 
@@ -1106,6 +1110,8 @@ void ExportShardedPerf(const ShardedClusterReport& report,
   registry.Increment("pump.count", report.pumps);
   if (engine == nullptr) return;
   registry.Increment("engine.epochs", engine->epochs());
+  registry.Increment("engine.multi_shard_epochs",
+                     engine->multi_shard_epochs());
   registry.Increment("engine.cross_posts", engine->cross_posts());
   registry.Increment("engine.run_wall_ns", engine->run_wall_ns());
   for (int k = 0; k < engine->shards(); ++k) {

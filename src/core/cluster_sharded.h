@@ -270,8 +270,9 @@ void AppendSnapshotJson(std::string* out, const obs::MetricsSnapshot& snapshot);
 // Fills `registry` with the wall-clock occupancy of a finished run: the
 // control pump split (pump.busy_ns / pump.drain_ns / pump.cluster_ns) from
 // the report, and — when `engine` is the ShardedEngine that ran it — the
-// per-shard busy and epoch-barrier stall times (shard.<k>.busy_ns,
-// shard.<k>.barrier_wait_ns) plus epoch/cross-post counts. These are
+// per-shard busy and not-busy times (shard.<k>.busy_ns,
+// shard.<k>.barrier_wait_ns) plus the engine.epochs,
+// engine.multi_shard_epochs and engine.cross_posts counts. These are
 // measurements; they never appear in the deterministic report.
 void ExportShardedPerf(const ShardedClusterReport& report,
                        const sim::ShardedEngine* engine,

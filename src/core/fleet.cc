@@ -63,13 +63,17 @@ ShardedFleetReport RunShardedFleet(const ShardedFleetOptions& options) {
     for (std::thread& t : pool) t.join();
   }
 
+  // The units' snapshots move through the merge and back, uncopied.
   std::vector<obs::MetricsSnapshot> parts;
   parts.reserve(report.units.size());
-  for (const ShardedClusterReport& unit : report.units) {
+  for (ShardedClusterReport& unit : report.units) {
     report.total_events += unit.events_processed;
-    parts.push_back(unit.merged);
+    parts.push_back(std::move(unit.merged));
   }
   report.merged = obs::MergeSnapshots(parts);
+  for (std::size_t u = 0; u < parts.size(); ++u) {
+    report.units[u].merged = std::move(parts[u]);
+  }
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)

@@ -106,17 +106,21 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name,
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot(bool reset) {
+  // The registry's maps and the snapshot's share one key order, so every
+  // entry is appended at end() — constant time, no per-name descent.
   MetricsSnapshot snapshot;
   snapshot.at = now();
   for (auto& [name, counter] : counters_) {
-    snapshot.counters[name] = counter.value();
+    snapshot.counters.emplace_hint(snapshot.counters.end(), name,
+                                   counter.value());
     if (reset) counter.Reset();
   }
   for (auto& [name, gauge] : gauges_) {
     MetricsSnapshot::GaugeState state;
     state.value = gauge.value();
     state.samples.assign(gauge.samples().begin(), gauge.samples().end());
-    snapshot.gauges[name] = std::move(state);
+    snapshot.gauges.emplace_hint(snapshot.gauges.end(), name,
+                                 std::move(state));
     if (reset) gauge.Reset();
   }
   for (auto& [name, histogram] : histograms_) {
@@ -131,7 +135,8 @@ MetricsSnapshot MetricsRegistry::Snapshot(bool reset) {
     state.p99 = histogram->Quantile(0.99);
     state.bounds = histogram->bounds();
     state.bucket_counts = histogram->bucket_counts();
-    snapshot.histograms[name] = std::move(state);
+    snapshot.histograms.emplace_hint(snapshot.histograms.end(), name,
+                                     std::move(state));
     if (reset) histogram->Reset();
   }
   return snapshot;
@@ -160,33 +165,75 @@ double StateQuantile(const MetricsSnapshot::HistogramState& h, double q) {
   return h.max;
 }
 
+// Finds or default-inserts `name` in `map` during a walk over one part's
+// names, which arrive in the map's own key order. Each lookup is hinted
+// just past the previous name's entry, so a name that lands there — the
+// usual case — costs a comparison or two instead of a string-keyed descent
+// from the root; a name further on falls back to the ordinary search.
+template <typename Map>
+typename Map::iterator FindOrInsertFrom(Map& map,
+                                        typename Map::iterator* hint,
+                                        const std::string& name,
+                                        bool* inserted = nullptr) {
+  const std::size_t size = map.size();
+  const auto it = map.try_emplace(*hint, name);
+  if (inserted != nullptr) *inserted = map.size() != size;
+  *hint = std::next(it);
+  return it;
+}
+
+// The stamp a part's gauge competes with: its newest sample's, 0 for an
+// empty trail. The maximum, not the last sample: a merged part's trail
+// concatenates its own parts' trails, so it is not in time order.
+sim::Time NewestStamp(const std::vector<GaugeSample>& samples) {
+  sim::Time newest = 0;
+  for (const GaugeSample& sample : samples) {
+    newest = std::max(newest, sample.at);
+  }
+  return newest;
+}
+
 }  // namespace
 
 MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& parts) {
   MetricsSnapshot merged;
-  // Gauge tie-break bookkeeping: the newest sample stamp seen per name.
-  std::map<std::string, sim::Time> gauge_at;
+  // Each merged gauge carries the stamp its value was chosen by until the
+  // last part is in; then the states move into `merged` in key order.
+  struct StampedGauge {
+    MetricsSnapshot::GaugeState state;
+    sim::Time newest = 0;
+  };
+  std::map<std::string, StampedGauge> gauges;
   for (const MetricsSnapshot& part : parts) {
     merged.at = std::max(merged.at, part.at);
+    auto counter_hint = merged.counters.begin();
     for (const auto& [name, value] : part.counters) {
-      merged.counters[name] += value;
+      FindOrInsertFrom(merged.counters, &counter_hint, name)->second += value;
     }
+    auto gauge_hint = gauges.begin();
     for (const auto& [name, gauge] : part.gauges) {
-      const sim::Time newest =
-          gauge.samples.empty() ? 0 : gauge.samples.back().at;
-      auto [it, inserted] = merged.gauges.try_emplace(name);
-      auto [at_it, at_inserted] = gauge_at.try_emplace(name, newest);
-      if (inserted || (!at_inserted && newest > at_it->second)) {
-        it->second.value = gauge.value;
-        at_it->second = newest;
+      const sim::Time newest = NewestStamp(gauge.samples);
+      bool inserted = false;
+      StampedGauge& into =
+          FindOrInsertFrom(gauges, &gauge_hint, name, &inserted)->second;
+      if (inserted || newest > into.newest) {
+        into.state.value = gauge.value;
+        into.newest = newest;
       }
-      it->second.samples.insert(it->second.samples.end(),
+      into.state.samples.insert(into.state.samples.end(),
                                 gauge.samples.begin(), gauge.samples.end());
     }
+    auto histogram_hint = merged.histograms.begin();
     for (const auto& [name, histogram] : part.histograms) {
-      auto [it, inserted] = merged.histograms.try_emplace(name, histogram);
-      if (inserted) continue;
-      MetricsSnapshot::HistogramState& into = it->second;
+      bool inserted = false;
+      MetricsSnapshot::HistogramState& into =
+          FindOrInsertFrom(merged.histograms, &histogram_hint, name,
+                           &inserted)
+              ->second;
+      if (inserted) {
+        into = histogram;
+        continue;
+      }
       if (histogram.count == 0) continue;
       if (into.count == 0) {
         into.min = histogram.min;
@@ -203,6 +250,11 @@ MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& parts) {
         }
       }
     }
+  }
+  while (!gauges.empty()) {
+    auto node = gauges.extract(gauges.begin());
+    merged.gauges.emplace_hint(merged.gauges.end(), std::move(node.key()),
+                               std::move(node.mapped().state));
   }
   for (auto& [name, histogram] : merged.histograms) {
     histogram.p50 = StateQuantile(histogram, 0.50);

@@ -138,11 +138,15 @@ struct MetricsSnapshot {
 // counters sum; histograms with matching bounds merge bucket-wise, with
 // quantiles re-estimated from the merged buckets (mismatched bounds keep
 // the first part's buckets and only fold in count/sum/min/max); a gauge
-// takes the value of the part with the newest sample for it — earlier part
-// wins ties — and the sample trails concatenate in part order. `at` is the
-// max across parts. The result is a pure function of the parts vector, so
-// merging per-group registries in group order yields bit-identical output
-// at any shard count.
+// takes the value of the part with the newest sample for it — the largest
+// stamp in the part's trail, 0 for an empty one; earlier part wins ties —
+// and the sample trails concatenate in part order, so a merged trail need
+// not be in time order. `at` is the max across parts. The result is a pure
+// function of the parts vector, so merging per-group registries in group
+// order yields bit-identical output at any shard count. Each part's names
+// are walked in order with a forward-moving insertion hint, so a name that
+// lands next to its predecessor's entry costs a comparison or two rather
+// than a lookup from the root.
 MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& parts);
 
 class MetricsRegistry {

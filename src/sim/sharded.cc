@@ -168,11 +168,15 @@ void ShardQueue::FreeSlot(std::uint32_t s) {
 // ---------------------------------------------------------------------------
 // ShardedEngine worker pool.
 //
-// Workers park on a condition variable between epochs; each epoch they
-// claim shards off a shared atomic cursor until none remain. Claiming
-// order cannot affect results (shards share nothing), so any thread count
-// executes identically — the pool only decides *who* runs a shard, never
-// *what* it runs.
+// The pool serves only epochs with two or more ready shards. The calling
+// thread publishes the epoch, wakes one parked worker per ready shard
+// beyond its own (at most `threads - 1`), and claims ready shards
+// alongside them until none are left; the epoch ends when every ready
+// shard has run, so the caller never waits for a worker that found
+// nothing to claim. Claims, completions and the epoch's parameters share
+// one mutex. Claiming order cannot affect results (shards share nothing),
+// so any thread count executes identically — the pool only decides *who*
+// runs a shard, never *what* it runs.
 
 struct ShardedEngine::Pool {
   Pool(ShardedEngine* engine, int workers) : engine(engine) {
@@ -181,6 +185,9 @@ struct ShardedEngine::Pool {
       threads.emplace_back([this] { WorkerMain(); });
     }
   }
+
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
 
   ~Pool() {
     {
@@ -191,55 +198,53 @@ struct ShardedEngine::Pool {
     for (std::thread& t : threads) t.join();
   }
 
+  // Runs engine->ready_ up to `epoch_bound` on the caller and the workers.
   void RunEpoch(Time epoch_bound, std::uint64_t epoch_max_events) {
     std::unique_lock<std::mutex> lock(mu);
-    next_shard.store(0, std::memory_order_relaxed);
     bound = epoch_bound;
     max_events = epoch_max_events;
-    done = 0;
-    ++epoch;
-    cv_start.notify_all();
-    cv_done.wait(lock,
-                 [this] { return done == static_cast<int>(threads.size()); });
+    count = engine->ready_.size();
+    next = 0;
+    finished = 0;
+    const std::size_t helpers = std::min(count - 1, threads.size());
+    for (std::size_t i = 0; i < helpers; ++i) cv_start.notify_one();
+    ClaimAndRun(lock);
+    cv_done.wait(lock, [this] { return finished == count; });
+  }
+
+  // Claims and runs ready shards until none are left to claim. Called and
+  // returns with `lock` held; the epoch cannot end (and its parameters
+  // cannot change) while this thread holds a claim.
+  void ClaimAndRun(std::unique_lock<std::mutex>& lock) {
+    while (next < count) {
+      const int shard = engine->ready_[next++];
+      const Time epoch_bound = bound;
+      const std::uint64_t epoch_max = max_events;
+      lock.unlock();
+      engine->RunShardTimed(shard, epoch_bound, epoch_max);
+      lock.lock();
+      if (++finished == count) cv_done.notify_one();
+    }
   }
 
   void WorkerMain() {
-    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-      Time epoch_bound;
-      std::uint64_t epoch_max;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv_start.wait(lock, [&] { return stop || epoch != seen; });
-        if (stop) return;
-        seen = epoch;
-        epoch_bound = bound;
-        epoch_max = max_events;
-      }
-      const int shard_count = engine->shards();
-      int k;
-      while ((k = next_shard.fetch_add(1, std::memory_order_relaxed)) <
-             shard_count) {
-        engine->RunShardTimed(k, epoch_bound, epoch_max);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (++done == static_cast<int>(threads.size())) {
-          cv_done.notify_all();
-        }
-      }
+      cv_start.wait(lock, [this] { return stop || next < count; });
+      if (stop) return;
+      ClaimAndRun(lock);
     }
   }
 
   ShardedEngine* engine;
-  std::mutex mu;
+  std::mutex mu;  // guards everything below it but `threads`
   std::condition_variable cv_start, cv_done;
-  std::uint64_t epoch = 0;
-  int done = 0;
   Time bound = 0;
   std::uint64_t max_events = 0;
+  std::size_t count = 0;     // ready shards this epoch
+  std::size_t next = 0;      // ready_[next] is the next shard to claim
+  std::size_t finished = 0;  // ready shards that have run
   bool stop = false;
-  std::atomic<int> next_shard{0};
   std::vector<std::thread> threads;
 };
 
@@ -257,6 +262,7 @@ ShardedEngine::ShardedEngine(Options options)
   }
   outbox_.resize(static_cast<std::size_t>(options.shards) * options.shards);
   busy_ns_.assign(static_cast<std::size_t>(options.shards), 0);
+  ready_.reserve(static_cast<std::size_t>(options.shards));
 }
 
 ShardedEngine::~ShardedEngine() = default;
@@ -300,7 +306,7 @@ std::uint64_t ShardedEngine::FlushMailboxes() {
 
 void ShardedEngine::RunShardTimed(int shard, Time bound,
                                   std::uint64_t max_events) {
-  // busy_ns_[shard] is only touched by the worker that claimed `shard`
+  // busy_ns_[shard] is only touched by the thread that claimed `shard`
   // this epoch; the pool barrier orders epochs, so no two writers race.
   const std::uint64_t t0 = WallNow();
   queues_[shard]->RunUntilBound(bound, max_events);
@@ -308,16 +314,13 @@ void ShardedEngine::RunShardTimed(int shard, Time bound,
 }
 
 void ShardedEngine::RunEpochShards(Time bound, std::uint64_t max_events) {
-  if (threads_ > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<Pool>(this, threads_);
-  }
-  if (pool_ != nullptr) {
-    pool_->RunEpoch(bound, max_events);
+  if (ready_.size() >= 2) ++multi_shard_epochs_;
+  if (ready_.size() < 2 || threads_ == 1) {
+    for (const int k : ready_) RunShardTimed(k, bound, max_events);
     return;
   }
-  for (int k = 0; k < shards(); ++k) {
-    RunShardTimed(k, bound, max_events);
-  }
+  if (pool_ == nullptr) pool_ = std::make_unique<Pool>(this, threads_ - 1);
+  pool_->RunEpoch(bound, max_events);
 }
 
 void ShardedEngine::Run(std::uint64_t max_events) {
@@ -334,10 +337,15 @@ void ShardedEngine::Run(std::uint64_t max_events) {
     // Every event in [earliest, earliest + L) is safe: a cross-shard send
     // from inside the window lands at >= earliest + L, which the next
     // barrier flush delivers before anyone runs past it.
-    if (barrier_hook_) {
-      barrier_hook_(epochs_, earliest + lookahead_, flushed);
+    const Time bound = earliest + lookahead_;
+    // Only shards with an event below the bound have work this epoch;
+    // running the others would fire nothing and leave their clocks as is.
+    ready_.clear();
+    for (int k = 0; k < shards(); ++k) {
+      if (queues_[k]->EarliestOr(kNoEvent) < bound) ready_.push_back(k);
     }
-    RunEpochShards(earliest + lookahead_, max_events - fired);
+    if (barrier_hook_) barrier_hook_(epochs_, bound, flushed);
+    RunEpochShards(bound, max_events - fired);
     ++epochs_;
   }
   run_wall_ns_ += WallNow() - wall0;

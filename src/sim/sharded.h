@@ -176,14 +176,17 @@ class ShardQueue {
 };
 
 // The parallel engine: K ShardQueues advanced in conservative-lookahead
-// epochs by up to `threads` workers (shards are claimed dynamically, so any
-// thread count yields the same execution).
+// epochs. An epoch runs only its *ready* shards — those with an event below
+// the bound. Fewer than two ready shards run on the calling thread; more
+// are claimed dynamically by the caller and up to `threads - 1` parked
+// workers, so any thread count yields the same execution.
 class ShardedEngine final : public UnitEngine {
  public:
   struct Options {
     int shards = 1;
-    // Worker threads; clamped to [1, shards]. 1 runs the identical epoch
-    // loop inline (no pool), which is also the tsan-friendly baseline.
+    // The most threads that run shards in one epoch, the calling thread
+    // included; clamped to [1, shards]. 1 runs every epoch inline (no
+    // pool), which is also the tsan-friendly baseline.
     int threads = 1;
     // Conservative lookahead L: the minimum cross-shard latency. Must be
     // >= 1ns; fabric::ShardPlan derives it from a USB hop + the RPC floor.
@@ -208,6 +211,10 @@ class ShardedEngine final : public UnitEngine {
   std::uint64_t epochs() const { return epochs_; }
   std::uint64_t cross_posts() const { return cross_posts_; }
   int threads() const { return threads_; }
+  // Epochs with two or more ready shards: the parallel work the epoch
+  // stream offers. Counted at every thread count; with threads > 1 these
+  // are exactly the epochs the pool runs.
+  std::uint64_t multi_shard_epochs() const { return multi_shard_epochs_; }
 
   // Invoked single-threaded at every epoch barrier, after the mailbox
   // flush and before any shard starts the epoch — the instant cross-shard
@@ -220,8 +227,9 @@ class ShardedEngine final : public UnitEngine {
   void SetBarrierHook(BarrierHook hook) { barrier_hook_ = std::move(hook); }
 
   // Wall-clock measurements, never part of model reports: time shard k
-  // spent firing events, and the residue it spent stalled at epoch
-  // barriers waiting for slower shards (Run() wall minus its busy time).
+  // spent firing events, and Run() wall minus that busy time — which
+  // counts plain idling (epochs where the shard had nothing ready) as well
+  // as stalls at epoch barriers waiting for slower shards.
   std::uint64_t busy_ns(int shard) const { return busy_ns_[shard]; }
   std::uint64_t barrier_wait_ns(int shard) const {
     return run_wall_ns_ > busy_ns_[shard] ? run_wall_ns_ - busy_ns_[shard]
@@ -249,9 +257,13 @@ class ShardedEngine final : public UnitEngine {
   // outbox_[source * shards + destination]: only `source` appends (during
   // its epoch), only the barrier drains.
   std::vector<std::vector<Mail>> outbox_;
+  // The shards with an event below the current epoch's bound, ascending;
+  // written by the calling thread before the epoch starts.
+  std::vector<int> ready_;
   std::uint64_t epochs_ = 0;
+  std::uint64_t multi_shard_epochs_ = 0;
   std::uint64_t cross_posts_ = 0;
-  // busy_ns_[k] is written only by the worker that claimed shard k for the
+  // busy_ns_[k] is written only by the thread that claimed shard k for the
   // current epoch; epochs are separated by the pool barrier, so writes to
   // one slot never race.
   std::vector<std::uint64_t> busy_ns_;

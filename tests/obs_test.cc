@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -597,6 +599,271 @@ TEST_F(ObsTest, MergeSnapshotsPartialOverlapKeepsDisjointNames) {
   MetricsRegistry empty;
   EXPECT_EQ(MergeSnapshots({a.Snapshot()}).counters,
             MergeSnapshots({a.Snapshot(), empty.Snapshot()}).counters);
+}
+
+TEST(MergeSnapshotsTest, NestedPartTakesGaugeFromItsNewestSample) {
+  // A merged snapshot's trail concatenates its parts' trails in part
+  // order, so its last sample need not be its newest. Here `a` holds the
+  // newest sample but sits first in {a, b}; `c` must not outrank it just
+  // because b's older sample ends the nested trail.
+  MetricsRegistry a, b, c;
+  a.GetGauge("unit.power_w").Set(3.0, 300);
+  b.GetGauge("unit.power_w").Set(2.0, 100);
+  c.GetGauge("unit.power_w").Set(1.0, 200);
+  const MetricsSnapshot ab = MergeSnapshots({a.Snapshot(), b.Snapshot()});
+  ASSERT_DOUBLE_EQ(ab.gauges.at("unit.power_w").value, 3.0);
+  const MetricsSnapshot merged = MergeSnapshots({ab, c.Snapshot()});
+  EXPECT_DOUBLE_EQ(merged.gauges.at("unit.power_w").value, 3.0);
+  EXPECT_EQ(merged.gauges.at("unit.power_w").samples.size(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot and MergeSnapshots against plain references: seeded random
+// registries whose names come from one small pool, so names interleave and
+// collide across parts.
+
+// What a registry was told, kept in plain maps.
+struct RegistryModel {
+  sim::Time at = 0;
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, MetricsSnapshot::GaugeState> gauges;
+  struct Recorded {
+    std::vector<double> bounds;
+    std::vector<double> values;
+  };
+  std::map<std::string, Recorded> histograms;
+};
+
+MetricsSnapshot ReferenceSnapshot(const RegistryModel& model) {
+  MetricsSnapshot out;
+  out.at = model.at;
+  out.counters = model.counters;
+  out.gauges = model.gauges;
+  for (const auto& [name, recorded] : model.histograms) {
+    Histogram live(recorded.bounds);
+    for (const double v : recorded.values) live.Record(v);
+    MetricsSnapshot::HistogramState& h = out.histograms[name];
+    h.count = live.count();
+    h.sum = live.sum();
+    h.min = live.min();
+    h.max = live.max();
+    h.p50 = live.Quantile(0.50);
+    h.p90 = live.Quantile(0.90);
+    h.p95 = live.Quantile(0.95);
+    h.p99 = live.Quantile(0.99);
+    h.bounds = live.bounds();
+    h.bucket_counts = live.bucket_counts();
+  }
+  return out;
+}
+
+// The documented interpolation, restated over a snapshot's buckets.
+double ReferenceQuantile(const MetricsSnapshot::HistogramState& h, double q) {
+  if (h.count == 0) return std::nan("");
+  const double target = q * static_cast<double>(h.count);
+  double cumulative = 0;
+  for (std::size_t b = 0; b < h.bucket_counts.size(); ++b) {
+    if (h.bucket_counts[b] == 0) continue;
+    const double before = cumulative;
+    cumulative += static_cast<double>(h.bucket_counts[b]);
+    if (cumulative < target) continue;
+    const double lower = b == 0 ? std::max(0.0, h.min) : h.bounds[b - 1];
+    const double upper = b < h.bounds.size() ? h.bounds[b] : h.max;
+    const double fraction =
+        (target - before) / static_cast<double>(h.bucket_counts[b]);
+    return std::clamp(lower + fraction * (upper - lower), h.min, h.max);
+  }
+  return h.max;
+}
+
+// MergeSnapshots' rules, one string-keyed lookup at a time.
+MetricsSnapshot ReferenceMerge(const std::vector<MetricsSnapshot>& parts) {
+  MetricsSnapshot out;
+  std::map<std::string, sim::Time> newest;
+  for (const MetricsSnapshot& part : parts) {
+    out.at = std::max(out.at, part.at);
+    for (const auto& [name, value] : part.counters) {
+      out.counters[name] += value;
+    }
+    for (const auto& [name, gauge] : part.gauges) {
+      sim::Time stamp = 0;
+      for (const GaugeSample& sample : gauge.samples) {
+        stamp = std::max(stamp, sample.at);
+      }
+      const bool first = out.gauges.count(name) == 0;
+      MetricsSnapshot::GaugeState& into = out.gauges[name];
+      if (first || stamp > newest[name]) {  // ties: the earlier part
+        into.value = gauge.value;
+        newest[name] = stamp;
+      }
+      into.samples.insert(into.samples.end(), gauge.samples.begin(),
+                          gauge.samples.end());
+    }
+    for (const auto& [name, h] : part.histograms) {
+      if (out.histograms.count(name) == 0) {
+        out.histograms[name] = h;
+        continue;
+      }
+      MetricsSnapshot::HistogramState& into = out.histograms[name];
+      if (h.count == 0) continue;
+      into.min = into.count == 0 ? h.min : std::min(into.min, h.min);
+      into.max = into.count == 0 ? h.max : std::max(into.max, h.max);
+      into.count += h.count;
+      into.sum += h.sum;
+      if (into.bounds != h.bounds) continue;  // first part's buckets stay
+      for (std::size_t b = 0; b < into.bucket_counts.size(); ++b) {
+        into.bucket_counts[b] += h.bucket_counts[b];
+      }
+    }
+  }
+  for (auto& [name, h] : out.histograms) {
+    h.p50 = ReferenceQuantile(h, 0.50);
+    h.p90 = ReferenceQuantile(h, 0.90);
+    h.p95 = ReferenceQuantile(h, 0.95);
+    h.p99 = ReferenceQuantile(h, 0.99);
+  }
+  return out;
+}
+
+void ExpectSameQuantile(double actual, double expected,
+                        const std::string& what) {
+  if (std::isnan(expected)) {
+    EXPECT_TRUE(std::isnan(actual)) << what;
+  } else {
+    EXPECT_EQ(actual, expected) << what;
+  }
+}
+
+void ExpectSameSnapshot(const MetricsSnapshot& actual,
+                        const MetricsSnapshot& expected,
+                        const std::string& what) {
+  EXPECT_EQ(actual.at, expected.at) << what;
+  EXPECT_EQ(actual.counters, expected.counters) << what;
+  ASSERT_EQ(actual.gauges.size(), expected.gauges.size()) << what;
+  for (auto a = actual.gauges.begin(), e = expected.gauges.begin();
+       a != actual.gauges.end(); ++a, ++e) {
+    const std::string at = what + " gauge " + e->first;
+    ASSERT_EQ(a->first, e->first) << what;
+    EXPECT_EQ(a->second.value, e->second.value) << at;
+    ASSERT_EQ(a->second.samples.size(), e->second.samples.size()) << at;
+    for (std::size_t i = 0; i < e->second.samples.size(); ++i) {
+      EXPECT_EQ(a->second.samples[i].at, e->second.samples[i].at) << at;
+      EXPECT_EQ(a->second.samples[i].value, e->second.samples[i].value)
+          << at;
+    }
+  }
+  ASSERT_EQ(actual.histograms.size(), expected.histograms.size()) << what;
+  for (auto a = actual.histograms.begin(), e = expected.histograms.begin();
+       a != actual.histograms.end(); ++a, ++e) {
+    const std::string at = what + " histogram " + e->first;
+    ASSERT_EQ(a->first, e->first) << what;
+    const MetricsSnapshot::HistogramState& x = a->second;
+    const MetricsSnapshot::HistogramState& y = e->second;
+    EXPECT_EQ(x.count, y.count) << at;
+    EXPECT_EQ(x.sum, y.sum) << at;
+    EXPECT_EQ(x.min, y.min) << at;
+    EXPECT_EQ(x.max, y.max) << at;
+    EXPECT_EQ(x.bounds, y.bounds) << at;
+    EXPECT_EQ(x.bucket_counts, y.bucket_counts) << at;
+    ExpectSameQuantile(x.p50, y.p50, at + " p50");
+    ExpectSameQuantile(x.p90, y.p90, at + " p90");
+    ExpectSameQuantile(x.p95, y.p95, at + " p95");
+    ExpectSameQuantile(x.p99, y.p99, at + " p99");
+  }
+}
+
+// Drives `registry` and `model` through the same random operations:
+// counter bumps, gauge sets at non-decreasing coarse stamps (so equal
+// newest stamps across registries are common), gauges left with empty
+// trails, and histograms created with one of two bucket layouts (so the
+// same name can carry mismatched bounds in different registries), some
+// never recorded into.
+void FillRandom(std::mt19937_64& rng, MetricsRegistry& registry,
+                RegistryModel& model) {
+  auto pick = [&rng](int n) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+  };
+  const auto name = [&pick](const char* kind) {
+    return std::string("m.") + kind + "." + std::to_string(pick(12));
+  };
+  sim::Time clock = 0;
+  const int ops = 1 + pick(40);
+  for (int op = 0; op < ops; ++op) {
+    switch (pick(6)) {
+      case 0: {
+        const std::string n = name("c");
+        const std::uint64_t by = static_cast<std::uint64_t>(pick(5));
+        registry.Increment(n, by);
+        model.counters[n] += by;
+        break;
+      }
+      case 1:
+      case 2: {
+        clock += 10 * pick(3);
+        const std::string n = name("g");
+        const double value = pick(100);
+        registry.GetGauge(n).Set(value, clock);
+        MetricsSnapshot::GaugeState& g = model.gauges[n];
+        g.value = value;
+        g.samples.push_back(GaugeSample{clock, value});
+        break;
+      }
+      case 3: {
+        // An empty trail: a gauge never set, or one whose trail was
+        // cleared (the value survives, as after Snapshot(reset)).
+        const std::string n = name("g");
+        registry.GetGauge(n).Reset();
+        model.gauges[n].samples.clear();
+        break;
+      }
+      default: {
+        const std::string n = name("h");
+        std::vector<double> bounds =
+            pick(2) == 0 ? LatencyBucketsUs() : CountBuckets();
+        Histogram& h = registry.GetHistogram(n, bounds);
+        RegistryModel::Recorded& r = model.histograms[n];
+        if (r.bounds.empty()) r.bounds = bounds;  // fixed at creation
+        if (pick(4) == 0) break;                  // created, never recorded
+        const double value = pick(4000) / 10.0;
+        h.Record(value);
+        r.values.push_back(value);
+        break;
+      }
+    }
+  }
+  model.at = pick(1000);
+  registry.set_time_source([at = model.at] { return at; });
+}
+
+TEST(MergeSnapshotsTest, MatchesPlainReferenceOnRandomParts) {
+  std::mt19937_64 rng(20240611);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::string what = "trial " + std::to_string(trial);
+    const int count = 1 + static_cast<int>(rng() % 6);
+    std::vector<MetricsRegistry> registries(count);
+    std::vector<RegistryModel> models(count);
+    std::vector<MetricsSnapshot> parts;
+    for (int i = 0; i < count; ++i) {
+      FillRandom(rng, registries[i], models[i]);
+      parts.push_back(registries[i].Snapshot());
+      ExpectSameSnapshot(parts.back(), ReferenceSnapshot(models[i]),
+                         what + " snapshot " + std::to_string(i));
+    }
+    ExpectSameSnapshot(MergeSnapshots(parts), ReferenceMerge(parts),
+                       what + " flat merge");
+
+    // Parts that are themselves merges, as RunShardedFleet merges units'
+    // merged snapshots: their trails are not in time order.
+    const std::size_t split = rng() % (parts.size() + 1);
+    const std::vector<MetricsSnapshot> head(parts.begin(),
+                                            parts.begin() + split);
+    const std::vector<MetricsSnapshot> tail(parts.begin() + split,
+                                            parts.end());
+    ExpectSameSnapshot(
+        MergeSnapshots({MergeSnapshots(tail), MergeSnapshots(head)}),
+        ReferenceMerge({ReferenceMerge(tail), ReferenceMerge(head)}),
+        what + " nested merge");
+  }
 }
 
 }  // namespace

@@ -5,8 +5,11 @@
 // oracle) lives in sharded_cluster_test.cc.
 #include "sim/sharded.h"
 
-#include <atomic>
+#include <functional>
+#include <latch>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -163,8 +166,12 @@ TEST(ShardedEngineTest, MaxEventsGuardStopsRunawayLoop) {
 // per-shard log (per-shard state only — the commutativity contract).
 // The concatenated per-shard logs must be identical at every thread
 // count for a fixed shard count.
-std::vector<std::string> RunMesh(int shards, int threads,
-                                 std::uint64_t seed) {
+struct MeshRun {
+  std::vector<std::string> logs;
+  std::uint64_t multi_shard_epochs = 0;
+};
+
+MeshRun RunMesh(int shards, int threads, std::uint64_t seed) {
   ShardedEngine engine(
       {.shards = shards, .threads = threads, .lookahead = Micros(20)});
   std::vector<std::string> logs(shards);
@@ -194,30 +201,67 @@ std::vector<std::string> RunMesh(int shards, int threads,
     engine.Schedule(s, Micros(s + 1), [&work, s] { work(s, 0); });
   }
   engine.Run(UINT64_MAX);
-  return logs;
+  return {std::move(logs), engine.multi_shard_epochs()};
 }
 
 TEST(ShardedEngineTest, MeshIdenticalAcrossThreadCounts) {
   for (const int shards : {1, 2, 4, 8}) {
-    const std::vector<std::string> baseline = RunMesh(shards, 1, 1234);
+    const MeshRun baseline = RunMesh(shards, 1, 1234);
+    if (shards > 1) {
+      EXPECT_GT(baseline.multi_shard_epochs, 0u);
+    }
     for (const int threads : {2, 4, 8}) {
-      EXPECT_EQ(RunMesh(shards, threads, 1234), baseline)
+      const MeshRun run = RunMesh(shards, threads, 1234);
+      EXPECT_EQ(run.logs, baseline.logs)
+          << "shards=" << shards << " threads=" << threads;
+      // Which shards are ready is a property of the event stream, not of
+      // who runs them.
+      EXPECT_EQ(run.multi_shard_epochs, baseline.multi_shard_epochs)
           << "shards=" << shards << " threads=" << threads;
     }
   }
 }
 
-TEST(ShardedEngineTest, ThreadPoolActuallyRunsShardsOnWorkers) {
+TEST(ShardedEngineTest, SingleReadyShardRunsOnCallingThread) {
+  // A chain that only ever has work on one shard gives every epoch one
+  // ready shard, which runs inline even though a pool is configured; the
+  // idle shards are neither run nor timed.
   ShardedEngine engine({.shards = 4, .threads = 4, .lookahead = Micros(10)});
-  std::atomic<int> fired{0};
+  std::vector<std::thread::id> ran_on;
+  std::function<void()> link = [&] {
+    ran_on.push_back(std::this_thread::get_id());
+    if (ran_on.size() < 50) engine.Schedule(2, Micros(30), link);
+  };
+  engine.Schedule(2, Micros(2), link);
+  engine.Run(UINT64_MAX);
+  ASSERT_EQ(ran_on.size(), 50u);
+  EXPECT_EQ(engine.epochs(), 50u);
+  EXPECT_EQ(engine.multi_shard_epochs(), 0u);
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  for (const int idle : {0, 1, 3}) EXPECT_EQ(engine.busy_ns(idle), 0u);
+}
+
+TEST(ShardedEngineTest, ThreadPoolActuallyRunsShardsOnWorkers) {
+  // Four shards ready at once, and each event blocks until all four are
+  // running: the epoch can only finish if four threads — the caller and
+  // three workers — run shards at the same time.
+  ShardedEngine engine({.shards = 4, .threads = 4, .lookahead = Micros(10)});
+  std::latch all_running(4);
+  std::vector<std::thread::id> ran_on(4);
   for (int s = 0; s < 4; ++s) {
-    engine.Schedule(s, Micros(1), [&] {
-      fired.fetch_add(1, std::memory_order_relaxed);
+    engine.Schedule(s, Micros(2), [&, s] {
+      ran_on[s] = std::this_thread::get_id();
+      all_running.arrive_and_wait();
     });
   }
   engine.Run(UINT64_MAX);
-  EXPECT_EQ(fired.load(), 4);
   EXPECT_EQ(engine.threads(), 4);
+  EXPECT_EQ(engine.multi_shard_epochs(), 1u);
+  const std::set<std::thread::id> distinct(ran_on.begin(), ran_on.end());
+  EXPECT_EQ(distinct.size(), 4u);
+  EXPECT_EQ(distinct.count(std::this_thread::get_id()), 1u);
 }
 
 }  // namespace

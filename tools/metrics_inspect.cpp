@@ -10,9 +10,11 @@
 // --sharded instead runs a small real Cluster on the sharded event engine
 // (DESIGN.md §13/§15), twice — central Master, then per-group meta leases —
 // and prints the wall-clock occupancy registry each run exported via
-// core::ExportShardedPerf: pump.busy_ns / pump.drain_ns / pump.cluster_ns
-// and the per-shard shard.<k>.busy_ns / shard.<k>.barrier_wait_ns, so the
-// control-plane offload is visible from the terminal.
+// core::ExportShardedPerf: pump.busy_ns / pump.drain_ns / pump.cluster_ns,
+// the per-shard shard.<k>.busy_ns / shard.<k>.barrier_wait_ns, and
+// engine.epochs / engine.multi_shard_epochs (how many epochs had two or
+// more shards ready), so the control-plane offload and the parallel work
+// on offer are visible from the terminal.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
