@@ -106,14 +106,16 @@ Result<std::vector<fabric::SwitchSetting>> Controller::SwitchesToTurn(
     const std::vector<DiskHostPair>& moves) const {
   const fabric::Topology& topology = wiring_.topology;
 
-  std::set<std::string> moving;
-  for (const auto& move : moves) moving.insert(move.disk);
+  std::set<fabric::NodeIndex> moving;
+  for (const auto& move : moves) {
+    if (auto node = topology.Find(move.disk); node.ok()) moving.insert(*node);
+  }
 
   // OccupiedSwitches: switches on the current paths of disks NOT in the
   // command (Algorithm 1 lines 4-8).
   std::set<fabric::NodeIndex> occupied;
   for (fabric::NodeIndex disk : wiring_.disks) {
-    if (moving.contains(topology.node(disk).name)) continue;
+    if (moving.contains(disk)) continue;
     for (fabric::NodeIndex node : topology.ActivePath(disk)) {
       if (topology.node(node).kind == fabric::NodeKind::kSwitch) {
         occupied.insert(node);

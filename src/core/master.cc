@@ -47,31 +47,22 @@ Master::Master(sim::Simulator* sim, net::Network* network, net::NodeId id,
       monitor_timer_(sim) {
   meta_ = std::make_unique<consensus::MetaClient>(
       sim, network, endpoint_->id() + ":meta", std::move(meta_options));
-  disk_of_node_.assign(static_cast<std::size_t>(wiring_.topology.size()), -1);
-  for (fabric::NodeIndex node : wiring_.disks) {
-    disk_of_node_[static_cast<std::size_t>(node)] =
-        InternDisk(wiring_.topology.node(node).name);
-  }
+  disks_.resize(wiring_.disks.size());
   RegisterHandlers();
 }
 
 Master::~Master() = default;
 
-// --- Disk interning + reverse indexes ------------------------------------------
-
-int Master::InternDisk(const std::string& name) {
-  auto it = disk_index_.find(name);
-  if (it != disk_index_.end()) return it->second;
-  const int handle = static_cast<int>(disks_.size());
-  disk_index_.emplace(name, handle);
-  disk_names_.push_back(name);
-  disks_.emplace_back();
-  return handle;
-}
+// --- Disk handles + reverse indexes --------------------------------------------
 
 int Master::FindDisk(const std::string& name) const {
-  auto it = disk_index_.find(name);
-  return it == disk_index_.end() ? -1 : it->second;
+  Result<fabric::NodeIndex> node = wiring_.topology.Find(name);
+  return node.ok() ? wiring_.topology.OrdinalOf(*node, fabric::NodeKind::kDisk)
+                   : -1;
+}
+
+const std::string& Master::DiskName(int disk) const {
+  return wiring_.topology.node(wiring_.disks[disk]).name;
 }
 
 void Master::SetDiskHost(int disk, int host) {
@@ -99,7 +90,7 @@ void Master::SetAllocExposedHost(AllocEntry& entry, int host) {
 }
 
 void Master::AddAllocToIndexes(const AllocEntry& entry) {
-  DiskStat& stat = disks_[InternDisk(entry.id.disk)];
+  DiskStat& stat = disks_[FindDisk(entry.id.disk)];
   stat.spaces.insert(entry.id.space);
   if (entry.exposed_host >= 0) ++stat.exposed_counts[entry.exposed_host];
 }
@@ -266,27 +257,7 @@ void Master::LoadAllocations(std::function<void(Status)> done) {
           ++*inner;
           meta_->Get(space_path, [this, space_path, inner_finish](
                                      Result<consensus::Znode> node) {
-            if (node.ok()) {
-              // Path: /ustore/alloc/u<id>/<disk>/<space>.
-              const std::string tail =
-                  space_path.substr(std::string("/ustore/alloc").size());
-              auto parsed = SpaceId::Parse(tail);
-              std::string service;
-              Bytes offset = 0, length = 0;
-              if (parsed.ok() &&
-                  DecodeAlloc(node->data, service, offset, length)) {
-                AllocEntry entry{*parsed, service, offset, length, true};
-                allocations_[*parsed] = entry;
-                AddAllocToIndexes(entry);
-                DiskStat& stat = disks_[InternDisk(parsed->disk)];
-                stat.allocated += length;
-                stat.next_space =
-                    std::max(stat.next_space, parsed->space + 1);
-                if (stat.owner_service.empty()) {
-                  stat.owner_service = service;
-                }
-              }
-            }
+            if (node.ok()) LoadAllocation(space_path, node->data);
             inner_finish(Status::Ok());
           });
         }
@@ -295,6 +266,29 @@ void Master::LoadAllocations(std::function<void(Status)> done) {
     }
     finish(Status::Ok());
   });
+}
+
+void Master::LoadAllocation(const std::string& space_path,
+                            const std::string& data) {
+  // Path: /ustore/alloc/u<id>/<disk>/<space>.
+  auto parsed =
+      SpaceId::Parse(space_path.substr(std::string("/ustore/alloc").size()));
+  std::string service;
+  Bytes offset = 0, length = 0;
+  if (!parsed.ok() || !DecodeAlloc(data, service, offset, length)) return;
+  const int disk = FindDisk(parsed->disk);
+  if (disk < 0) {
+    USTORE_LOG(Warning) << id() << ": skipping allocation " << space_path
+                        << ": " << parsed->disk << " is not a wiring disk";
+    return;
+  }
+  AllocEntry entry{*parsed, service, offset, length, true};
+  allocations_[*parsed] = entry;
+  AddAllocToIndexes(entry);
+  DiskStat& stat = disks_[disk];
+  stat.allocated += length;
+  stat.next_space = std::max(stat.next_space, parsed->space + 1);
+  if (stat.owner_service.empty()) stat.owner_service = service;
 }
 
 void Master::MonitorTick() {
@@ -338,8 +332,7 @@ int Master::CurrentHostOfDisk(const std::string& disk) const {
 }
 
 int Master::CurrentHostOfWiringDisk(fabric::NodeIndex node) const {
-  const auto i = static_cast<std::size_t>(node);
-  const int handle = i < disk_of_node_.size() ? disk_of_node_[i] : -1;
+  const int handle = wiring_.topology.OrdinalOf(node, fabric::NodeKind::kDisk);
   return handle < 0 ? -1 : disks_[handle].host;
 }
 
@@ -397,11 +390,9 @@ void Master::HandleHostFailure(int failed_host) {
   // every stranded disk to (SysConf knows the wiring).
   auto reachable_by_all = [&](int host_index) {
     for (int disk : stranded) {
-      auto node = wiring_.topology.Find(DiskName(disk));
-      if (!node.ok()) return false;
       bool reachable = false;
       for (fabric::NodeIndex port : wiring_.PortsOfHost(host_index)) {
-        if (wiring_.topology.RouteTo(*node, port).ok()) {
+        if (wiring_.topology.RouteTo(wiring_.disks[disk], port).ok()) {
           reachable = true;
           break;
         }
@@ -666,8 +657,8 @@ Status Master::EnsureStripeLayout(int data_chunks, int parity_chunks) {
   stripe_layout_.emplace(options);
   for (const fabric::FailureDomain& domain : failure_domains_.domains) {
     stripe_layout_->AddDomains(1, static_cast<int>(domain.disks.size()));
-    for (const std::string& name : domain.disk_names) {
-      stripe_disk_names_.push_back(name);
+    for (fabric::NodeIndex node : domain.disks) {
+      stripe_disks_.push_back(wiring_.topology.node(node).ordinal);
     }
   }
   return Status::Ok();
@@ -703,9 +694,8 @@ void Master::AllocateStripeChunk(std::shared_ptr<StripeAlloc> alloc,
     return;
   }
 
-  const std::string& disk_name =
-      stripe_disk_names_.at(alloc->placement[index].disk);
-  const int disk = InternDisk(disk_name);
+  const int disk = stripe_disks_.at(alloc->placement[index].disk);
+  const std::string& disk_name = DiskName(disk);
   DiskStat& stat = disks_[disk];
   if (stat.failed || stat.host < 0 || !HostAlive(stat.host)) {
     // Chunks already landed stay allocated (they are ordinary spaces a
@@ -813,7 +803,8 @@ void Master::RegisterHandlers() {
           return;
         }
         for (const DiskStatusEntry& entry : heartbeat->disks) {
-          const int d = InternDisk(entry.name);
+          const int d = FindDisk(entry.name);
+          if (d < 0) continue;  // not a disk of this unit's wiring
           SetDiskHost(d, heartbeat->host_index);
           DiskStat& disk = disks_[d];
           disk.present = true;
@@ -1111,6 +1102,14 @@ void Master::Restart() {
   host_disks_.clear();
   seen_disks_.clear();
   for (DiskStat& stat : disks_) stat = DiskStat{};
+  // The dead process's in-flight failovers and re-exposures died with its
+  // RPC callbacks (Shutdown drops them); left behind, they would block the
+  // missing-disk check and these hosts' and disks' next failover forever.
+  while (!failover_spans_.empty()) {
+    EndFailoverSpan(failover_spans_.begin()->first, "master-restarted");
+  }
+  failovers_in_progress_.clear();
+  re_expose_in_progress_.clear();
   Start();
 }
 
@@ -1135,21 +1134,10 @@ bool Master::CheckIndexesForTest(std::string* why) const {
     if (why != nullptr) *why = message;
     return false;
   };
-  // Interning tables agree.
-  if (disks_.size() != disk_names_.size() ||
-      disks_.size() != disk_index_.size()) {
-    return fail("interning tables disagree on disk count");
-  }
-  for (const auto& [name, handle] : disk_index_) {
-    if (handle < 0 || handle >= static_cast<int>(disk_names_.size()) ||
-        disk_names_[handle] != name) {
-      return fail("intern handle mismatch for " + name);
-    }
-  }
   // Every allocation is indexed on its disk.
   for (const auto& [space_id, entry] : allocations_) {
     const int d = FindDisk(space_id.disk);
-    if (d < 0) return fail("allocation on uninterned disk " + space_id.disk);
+    if (d < 0) return fail("allocation on non-wiring disk " + space_id.disk);
     if (!disks_[d].spaces.contains(space_id.space)) {
       return fail("allocation " + space_id.ToString() +
                   " missing from disk index");

@@ -21,11 +21,13 @@
 // a Controller scheduling command, re-exposed on the adopting host, and
 // subscribed clients are notified.
 //
-// Hot-path scaling (fleet targets, DESIGN.md §8): disk names are interned
-// into dense integer handles at first sight, and two reverse indexes —
-// disk->allocated spaces and host->attached disks, plus a per-disk count
-// of allocations by exposing host — keep heartbeat processing, failover
-// collection and re-exposure independent of the total allocation count.
+// Hot-path scaling (fleet targets, DESIGN.md §8): a disk's handle is its
+// wiring ordinal (its index in SysConf's BuiltFabric::disks), and names
+// appear only at the edges (wire messages, SpaceIds, MetaStore paths,
+// logs). Two reverse indexes — disk->allocated spaces and host->attached
+// disks, plus a per-disk count of allocations by exposing host — keep
+// heartbeat processing, failover collection and re-exposure independent of
+// the total allocation count.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +36,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -161,19 +162,20 @@ class Master {
   void OnBecameActive();
   void BootstrapMetaPaths(std::function<void(Status)> done);
   void LoadAllocations(std::function<void(Status)> done);
+  // Indexes one persisted allocation; skips a malformed one or one on a
+  // disk outside the wiring.
+  void LoadAllocation(const std::string& space_path, const std::string& data);
   void MonitorTick();
   void HandleHostFailure(int host_index);
   void HandleDiskFailure(int disk);
   // Closes the failover trace span for `host_index` with an outcome attr.
   void EndFailoverSpan(int host_index, const std::string& outcome);
 
-  // --- Disk interning + reverse-index maintenance ------------------------------
-  // Get-or-create the dense handle for a disk name (wiring disks are
-  // interned at construction; unknown names from heartbeats or persisted
-  // allocations are added on first sight).
-  int InternDisk(const std::string& name);
-  int FindDisk(const std::string& name) const;  // -1 when unknown
-  const std::string& DiskName(int disk) const { return disk_names_[disk]; }
+  // --- Disk handles + reverse-index maintenance --------------------------------
+  // A disk's handle is its wiring ordinal. FindDisk answers -1 for a name
+  // that is not a wiring disk.
+  int FindDisk(const std::string& name) const;
+  const std::string& DiskName(int disk) const;
   // Moves the disk between host_disks_ buckets and updates stat.host.
   void SetDiskHost(int disk, int host);
   // Re-points entry.exposed_host, keeping the disk's exposed_counts exact.
@@ -238,15 +240,10 @@ class Master {
   bool started_ = false;
 
   // SysStat (in-memory, rebuilt from heartbeats). Disks are stored densely
-  // by interned handle; host_disks_ is the host->disks reverse index
-  // (sorted, so failover move order stays deterministic).
+  // by handle; host_disks_ is the host->disks reverse index (sorted, so
+  // failover move order stays deterministic).
   std::map<int, HostStat> hosts_;
   std::vector<DiskStat> disks_;
-  std::vector<std::string> disk_names_;
-  std::unordered_map<std::string, int> disk_index_;
-  // Wiring disk node -> handle (wiring disks are interned first, in wiring
-  // order); -1 for every other node.
-  std::vector<int> disk_of_node_;
   std::map<int, std::set<int>> host_disks_;
   // Handles of the disks some heartbeat has listed (last_seen >= 0), in
   // handle order: the only disks MonitorTick can find missing, at most the
@@ -258,12 +255,12 @@ class Master {
   // StorAlloc.
   std::map<SpaceId, AllocEntry> allocations_;
 
-  // Stripe index (active-master state; see stripe_count()). The layout's
-  // dense disk indexes map to fabric disk names via stripe_disk_names_,
-  // both derived from the wiring's static failure domains.
+  // Stripe index (active-master state; see stripe_count()). The layout
+  // numbers disks domain by domain; stripe_disks_ maps a layout disk to
+  // its handle. Both follow the wiring's static failure domains.
   fabric::FailureDomainMap failure_domains_;
   std::optional<fabric::DeclusteredPlacement> stripe_layout_;
-  std::vector<std::string> stripe_disk_names_;  // layout disk -> name
+  std::vector<int> stripe_disks_;  // layout disk -> disk handle
   std::vector<StripeEntry> stripes_;
 
   // Failover-notification subscriptions.

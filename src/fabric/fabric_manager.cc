@@ -1,5 +1,6 @@
 #include "fabric/fabric_manager.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/logging.h"
@@ -15,37 +16,17 @@ FabricManager::FabricManager(sim::Simulator* sim, BuiltFabric fabric,
       rng_(rng),
       bus_(static_cast<int>(fabric_.switches.size() + fabric_.disks.size() +
                             fabric_.hubs.size())) {
-  // Line assignment: switches first, then disk relays, then hub relays.
-  int line = 0;
-  for (NodeIndex sw : fabric_.switches) {
-    switch_line_[sw] = line;
-    node_of_line_[line] = sw;
-    fabric_.topology.set_control_line(sw, line);
-    ++line;
-  }
-  for (NodeIndex d : fabric_.disks) {
-    disk_relay_line_[d] = line;
-    node_of_line_[line] = d;
-    ++line;
-  }
-  for (NodeIndex h : fabric_.hubs) {
-    hub_relay_line_[h] = line;
-    node_of_line_[line] = h;
-    ++line;
-  }
-
   bus_.set_observer([this](int l, bool v) { OnLineChanged(l, v); });
-  mcus_.push_back(
-      std::make_unique<hw::Microcontroller>("mcu-0", line, &bus_));
-  mcus_.push_back(
-      std::make_unique<hw::Microcontroller>("mcu-1", line, &bus_));
+  const int lines = bus_.line_count();
+  mcus_.push_back(std::make_unique<hw::Microcontroller>("mcu-0", lines, &bus_));
+  mcus_.push_back(std::make_unique<hw::Microcontroller>("mcu-1", lines, &bus_));
   mcus_[0]->PowerOn();  // normal operation: only the primary powered (§III-B)
   if (!options_.disks_start_powered) {
     // Cold unit: the primary board asserts every disk's power-cut line
     // before anything else happens (rolling spin-up then releases them).
-    for (const auto& [node, line] : disk_relay_line_) {
-      (void)node;
-      Status asserted = mcus_[0]->SetOutput(line, true);
+    for (NodeIndex node : fabric_.disks) {
+      Status asserted =
+          mcus_[0]->SetOutput(LineOf(node, NodeKind::kDisk), true);
       assert(asserted.ok());
       (void)asserted;
     }
@@ -57,41 +38,55 @@ FabricManager::FabricManager(sim::Simulator* sim, BuiltFabric fabric,
   }
 
   const hw::DiskModel model(options_.disk_params, hw::UsbBridgeInterface());
-  disk_of_node_.assign(static_cast<std::size_t>(fabric_.topology.size()),
-                       nullptr);
+  disks_.reserve(fabric_.disks.size());
   for (NodeIndex node : fabric_.disks) {
-    const std::string& name = fabric_.topology.node(node).name;
-    auto& disk = disks_[name];
-    disk = std::make_unique<hw::Disk>(sim_, name, model,
-                                      options_.disks_start_powered);
-    disk_of_node_[static_cast<std::size_t>(node)] = disk.get();
+    disks_.push_back(std::make_unique<hw::Disk>(
+        sim_, fabric_.topology.node(node).name, model,
+        options_.disks_start_powered));
     if (!options_.disks_start_powered) {
       fabric_.topology.SetPowered(node, false);
     }
   }
+  announced_host_.assign(static_cast<std::size_t>(fabric_.topology.size()),
+                         -1);
 
   // Announce the initial attachments.
   RecomputeAttachments();
 }
 
 hw::Disk* FabricManager::disk(const std::string& name) {
-  auto it = disks_.find(name);
-  return it == disks_.end() ? nullptr : it->second.get();
+  Result<NodeIndex> node = fabric_.topology.Find(name);
+  return node.ok() ? disk(*node) : nullptr;
 }
 
 hw::Disk* FabricManager::disk(NodeIndex node) {
-  const auto i = static_cast<std::size_t>(node);
-  return i < disk_of_node_.size() ? disk_of_node_[i] : nullptr;
+  const int ordinal = fabric_.topology.OrdinalOf(node, NodeKind::kDisk);
+  return ordinal < 0 ? nullptr
+                     : disks_[static_cast<std::size_t>(ordinal)].get();
 }
 
-int FabricManager::SwitchLine(NodeIndex switch_node) const {
-  return switch_line_.at(switch_node);
+int FabricManager::LineOf(NodeIndex node, NodeKind kind) const {
+  const int ordinal = fabric_.topology.OrdinalOf(node, kind);
+  if (ordinal < 0) return -1;
+  const int switches = static_cast<int>(fabric_.switches.size());
+  const int disks = static_cast<int>(fabric_.disks.size());
+  switch (kind) {
+    case NodeKind::kSwitch: return ordinal;
+    case NodeKind::kDisk: return switches + ordinal;
+    case NodeKind::kHub: return switches + disks + ordinal;
+    case NodeKind::kHostPort: break;
+  }
+  return -1;
 }
-int FabricManager::DiskRelayLine(NodeIndex disk_node) const {
-  return disk_relay_line_.at(disk_node);
-}
-int FabricManager::HubRelayLine(NodeIndex hub_node) const {
-  return hub_relay_line_.at(hub_node);
+
+NodeIndex FabricManager::NodeOfLine(int line) const {
+  auto l = static_cast<std::size_t>(line);
+  for (const std::vector<NodeIndex>* nodes :
+       {&fabric_.switches, &fabric_.disks, &fabric_.hubs}) {
+    if (l < nodes->size()) return (*nodes)[l];
+    l -= nodes->size();
+  }
+  return kInvalidNode;
 }
 
 Status FabricManager::DriveLine(int mcu_index, int line, bool target) {
@@ -106,35 +101,29 @@ Status FabricManager::DriveLine(int mcu_index, int line, bool target) {
 
 Status FabricManager::DriveSwitch(int mcu_index, NodeIndex switch_node,
                                   bool select) {
-  auto it = switch_line_.find(switch_node);
-  if (it == switch_line_.end()) {
-    return InvalidArgumentError("node is not a switch");
-  }
-  return DriveLine(mcu_index, it->second, select);
+  const int line = LineOf(switch_node, NodeKind::kSwitch);
+  if (line < 0) return InvalidArgumentError("node is not a switch");
+  return DriveLine(mcu_index, line, select);
 }
 
 Status FabricManager::DriveDiskPower(int mcu_index, NodeIndex disk_node,
                                      bool on) {
-  auto it = disk_relay_line_.find(disk_node);
-  if (it == disk_relay_line_.end()) {
-    return InvalidArgumentError("node is not a disk");
-  }
+  const int line = LineOf(disk_node, NodeKind::kDisk);
+  if (line < 0) return InvalidArgumentError("node is not a disk");
   // Relay line semantics: line HIGH = power cut (so the all-zero initial
   // bus state leaves everything powered).
-  return DriveLine(mcu_index, it->second, !on);
+  return DriveLine(mcu_index, line, !on);
 }
 
 Status FabricManager::DriveHubPower(int mcu_index, NodeIndex hub_node,
                                     bool on) {
-  auto it = hub_relay_line_.find(hub_node);
-  if (it == hub_relay_line_.end()) {
-    return InvalidArgumentError("node is not a hub");
-  }
-  return DriveLine(mcu_index, it->second, !on);
+  const int line = LineOf(hub_node, NodeKind::kHub);
+  if (line < 0) return InvalidArgumentError("node is not a hub");
+  return DriveLine(mcu_index, line, !on);
 }
 
 void FabricManager::OnLineChanged(int line, bool value) {
-  const NodeIndex node = node_of_line_.at(line);
+  const NodeIndex node = NodeOfLine(line);
   // Electrical settle, then apply and re-announce attachments.
   sim_->Schedule(options_.switch_settle, [this, node, value] {
     Topology& t = fabric_.topology;
@@ -218,15 +207,13 @@ void FabricManager::RecomputeAttachments() {
       new_host = -1;  // a dead host enumerates nothing
     }
 
-    auto announced = announced_host_.find(device);
-    const int old_host = announced == announced_host_.end()
-                             ? -1
-                             : announced->second;
+    int& announced = announced_host_[static_cast<std::size_t>(device)];
+    const int old_host = announced;
     if (old_host == new_host) continue;
 
     if (old_host >= 0) {
       stacks_[old_host]->OnDeviceDetached(t.node(device).name);
-      announced_host_.erase(device);
+      announced = -1;
     }
     if (new_host >= 0) {
       const bool fresh_power_cycle = power_cycled_.erase(device) > 0;
@@ -242,7 +229,7 @@ void FabricManager::RecomputeAttachments() {
       }
       if (lost_attach_.contains(device)) continue;
       stacks_[new_host]->OnDeviceAttached(EntryFor(device, port));
-      announced_host_[device] = new_host;
+      announced = new_host;
     }
   }
 }
@@ -251,13 +238,7 @@ void FabricManager::CrashHost(int host) {
   if (!crashed_hosts_.insert(host).second) return;
   stacks_[host]->Reset();
   // Devices routed here are no longer announced anywhere.
-  for (auto it = announced_host_.begin(); it != announced_host_.end();) {
-    if (it->second == host) {
-      it = announced_host_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::replace(announced_host_.begin(), announced_host_.end(), host, -1);
 }
 
 void FabricManager::RestartHost(int host) {
@@ -336,7 +317,7 @@ Watts FabricManager::FabricPower() const {
 
 Watts FabricManager::DisksPower() const {
   Watts total = 0;
-  for (const auto& [name, d] : disks_) total += d->current_power();
+  for (const auto& d : disks_) total += d->current_power();
   return total;
 }
 

@@ -18,7 +18,6 @@
 // the device stays unrecognized until its power is cycled.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -56,6 +55,7 @@ class FabricManager {
   const Topology& topology() const { return fabric_.topology; }
   int host_count() const { return static_cast<int>(fabric_.hosts.size()); }
 
+  // A wiring disk's hw::Disk; nullptr for any other node or name.
   hw::Disk* disk(const std::string& name);
   hw::Disk* disk(NodeIndex node);
   hw::UsbHostStack* host_stack(int host) { return stacks_.at(host).get(); }
@@ -63,10 +63,8 @@ class FabricManager {
   const hw::XorSignalBus& bus() const { return bus_; }
 
   // --- Control lines -----------------------------------------------------------
-  int SwitchLine(NodeIndex switch_node) const;
-  int DiskRelayLine(NodeIndex disk_node) const;
-  int HubRelayLine(NodeIndex hub_node) const;
-  int line_count() const { return bus_.line_count(); }
+  // Lines are numbered by ordinal within each kind: the switches' select
+  // lines first, then the disks' power relays, then the hubs' power relays.
 
   // Drives a bus line to a target effective value through a given board
   // (the board XORs against the other board's contribution).
@@ -110,6 +108,10 @@ class FabricManager {
   static constexpr Watts kSwitchPower = 0.06;  // §VII-C
 
  private:
+  // The control line of `node` when it is a node of `kind`; -1 otherwise
+  // (host ports have no line).
+  int LineOf(NodeIndex node, NodeKind kind) const;
+  NodeIndex NodeOfLine(int line) const;
   void OnLineChanged(int line, bool value);
   void RecomputeAttachments();
   hw::UsbTreeEntry EntryFor(NodeIndex device, NodeIndex host_port) const;
@@ -122,17 +124,12 @@ class FabricManager {
   hw::XorSignalBus bus_;
   std::vector<std::unique_ptr<hw::Microcontroller>> mcus_;
   std::vector<std::unique_ptr<hw::UsbHostStack>> stacks_;
-  std::map<std::string, std::unique_ptr<hw::Disk>> disks_;
-  std::vector<hw::Disk*> disk_of_node_;  // by NodeIndex; null for non-disks
-
-  std::map<NodeIndex, int> switch_line_;
-  std::map<NodeIndex, int> disk_relay_line_;
-  std::map<NodeIndex, int> hub_relay_line_;
-  std::map<int, NodeIndex> node_of_line_;  // reverse map
+  std::vector<std::unique_ptr<hw::Disk>> disks_;  // by disk ordinal
 
   std::set<int> crashed_hosts_;
-  // Current visibility: device node -> host id it was announced to.
-  std::map<NodeIndex, int> announced_host_;
+  // Current visibility, by NodeIndex: the host id a device was announced
+  // to, -1 when none.
+  std::vector<int> announced_host_;
   // Devices whose attach event was lost (§V-B quirk); cleared by power cycle.
   std::set<NodeIndex> lost_attach_;
   // Disks just power-cycled: their next attach enumerates reliably.

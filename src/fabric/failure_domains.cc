@@ -24,12 +24,6 @@ NodeIndex WiringHubOf(const Topology& topology, NodeIndex disk) {
 
 }  // namespace
 
-int FailureDomainMap::DomainOfName(const Topology& topology,
-                                   const std::string& name) const {
-  Result<NodeIndex> node = topology.Find(name);
-  return node.ok() ? DomainOf(*node) : -1;
-}
-
 FailureDomainMap EnumerateFailureDomains(const BuiltFabric& fabric) {
   FailureDomainMap map;
   map.disk_domain.assign(fabric.topology.size(), -1);
@@ -47,10 +41,7 @@ FailureDomainMap EnumerateFailureDomains(const BuiltFabric& fabric) {
     FailureDomain domain;
     domain.hub = hub;
     domain.disks = disks;
-    for (NodeIndex disk : disks) {
-      map.disk_domain[disk] = map.size();
-      domain.disk_names.push_back(fabric.topology.node(disk).name);
-    }
+    for (NodeIndex disk : disks) map.disk_domain[disk] = map.size();
     map.domains.push_back(std::move(domain));
   }
   return map;

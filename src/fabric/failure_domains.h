@@ -15,7 +15,6 @@
 // placement function (fabric::DeclusteredPlacement).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "fabric/builders.h"
@@ -26,7 +25,6 @@ namespace ustore::fabric {
 struct FailureDomain {
   NodeIndex hub = kInvalidNode;        // the shared leaf component
   std::vector<NodeIndex> disks;        // member disks, node-index order
-  std::vector<std::string> disk_names;
 };
 
 struct FailureDomainMap {
@@ -40,8 +38,6 @@ struct FailureDomainMap {
                ? disk_domain[disk]
                : -1;
   }
-  // Domain of a disk by fabric name; -1 when unknown.
-  int DomainOfName(const Topology& topology, const std::string& name) const;
 };
 
 // Partitions `fabric`'s disks by static wiring: two disks share a domain

@@ -25,6 +25,7 @@ NodeIndex Topology::Add(Node node) {
     index_ = std::make_shared<NameIndex>(*index_);
   }
   index_->try_emplace(node.name, i);
+  node.ordinal = kind_count_[static_cast<std::size_t>(node.kind)]++;
   nodes_.push_back(std::move(node));
   ++generation_;
   return i;

@@ -9,6 +9,7 @@
 // failed/unpowered component.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -34,7 +35,9 @@ struct Node {
   bool failed = false;
   bool powered = true;
   bool select = false;  // switches: false -> up_primary, true -> up_secondary
-  int control_line = -1;  // XOR-bus line for switch select / power relay
+  // Rank among the nodes of this kind, in creation order: a disk's ordinal
+  // is its index in BuiltFabric::disks and its one in-process identity.
+  int ordinal = -1;
 };
 
 // One required switch setting on a route (GETSWITCH output).
@@ -62,6 +65,12 @@ class Topology {
   const Node& node(NodeIndex i) const { return nodes_.at(i); }
   // O(1) by name; for a duplicate name, the first node added wins.
   Result<NodeIndex> Find(const std::string& name) const;
+  // The ordinal of node `i` when it is a node of `kind`; -1 otherwise,
+  // including for an index outside the topology.
+  int OrdinalOf(NodeIndex i, NodeKind kind) const {
+    return i >= 0 && i < size() && nodes_[i].kind == kind ? nodes_[i].ordinal
+                                                          : -1;
+  }
 
   std::vector<NodeIndex> NodesOfKind(NodeKind kind) const;
   std::vector<NodeIndex> Disks() const { return NodesOfKind(NodeKind::kDisk); }
@@ -77,9 +86,6 @@ class Topology {
   void SetSwitch(NodeIndex switch_node, bool select);
   void SetFailed(NodeIndex i, bool failed);
   void SetPowered(NodeIndex i, bool powered);
-  void set_control_line(NodeIndex i, int line) {
-    nodes_.at(i).control_line = line;
-  }
 
   // Monotonic configuration version: bumped by every mutation that can
   // change an active path (construction, switch flips, fail/power changes).
@@ -152,6 +158,7 @@ class Topology {
   // index before inserting, so growing one copy never changes another's
   // lookups.
   std::shared_ptr<NameIndex> index_;
+  std::array<int, 4> kind_count_{};  // nodes added so far, by NodeKind
   std::uint64_t generation_ = 1;
   mutable std::vector<PathCacheEntry> path_cache_;  // indexed by device
 };

@@ -18,9 +18,11 @@
 #include <string>
 
 #include "baselines/baselines.h"
+#include "common/hash.h"
 #include "core/cluster.h"
 #include "fabric/builders.h"
 #include "fabric/failure_domains.h"
+#include "obs/metrics.h"
 #include "services/chaos.h"
 #include "services/redundancy.h"
 
@@ -137,6 +139,32 @@ TEST(ChaosEngineTest, FixedSeedReportIsBitIdentical) {
   EXPECT_EQ(first, second);
 }
 
+// A pinned digest: the report of a seeded plan that crashes the active
+// Master and restarts it, then crashes hosts and fails a disk. The test
+// above compares two runs with each other; this one fixes the report.
+TEST(ChaosEngineTest, MasterCrashPlanReportIsPinned) {
+  // The report's health section reads the process-wide metrics registry,
+  // so start from an empty one whatever ran before in this process.
+  obs::Metrics().Clear();
+  core::Cluster cluster;
+  cluster.Start();
+  ChaosEngine engine(&cluster);
+  ASSERT_TRUE(engine.Prepare().ok());
+  PlanOptions options;
+  options.faults = 4;
+  options.heal_after = sim::Seconds(15);
+  options.settle_after = sim::Seconds(20);
+  const ChaosPlan plan = GeneratePlan(cluster, 7, options);
+  ASSERT_FALSE(plan.ops.empty());
+  ASSERT_EQ(plan.ops[0].kind, FaultKind::kMasterCrash);
+  ASSERT_EQ(cluster.master(plan.ops[0].index), cluster.active_master());
+  ASSERT_EQ(plan.ops[1].kind, FaultKind::kMasterRestart);
+  engine.Arm(plan);
+  const ChaosReport& report = engine.RunToCompletion(sim::Seconds(600));
+  EXPECT_EQ(report.invariant_violations, 0);
+  EXPECT_EQ(Fnv1a(report.ToJson()), 0x3247d3f152f5dd1fULL);
+}
+
 TEST(ChaosEngineTest, SeededPlanRecoversEveryFaultWithoutViolations) {
   core::Cluster cluster;
   cluster.Start();
@@ -241,7 +269,8 @@ TEST(ChaosRebuild, InterruptedRebuildIsResumableNotLost) {
   const fabric::FailureDomainMap domains =
       fabric::EnumerateFailureDomains(cluster.fabric().fabric());
   ASSERT_GE(domains.size(), 1);
-  const std::string data_disk = domains.domains[0].disk_names[0];
+  const std::string data_disk =
+      cluster.fabric().topology().node(domains.domains[0].disks[0]).name;
   Result<core::ClientLib::Volume*> mounted = InternalError("pending");
   client->AllocateAndMountOnDisk(
       "rebuild-pool", GiB(1), data_disk,

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/cluster.h"
+#include "obs/metrics.h"
 
 namespace ustore::core {
 namespace {
@@ -157,6 +158,53 @@ TEST_F(RobustnessTest, MetaQuorumLossBlocksAllocationButNotIo) {
   (*volume)->Write(0, KiB(4), false, 9, [&](Status s) { write = s; });
   cluster_.RunFor(sim::Seconds(5));
   EXPECT_TRUE(write.ok());
+}
+
+// Regression: a Master crashed mid-failover and restarted later must not
+// inherit the dead process's in-flight failover. Its RPC callbacks were
+// dropped with the endpoint, so nothing would ever clear the entry, and
+// once this Master is active again its missing-disk check would stay off.
+TEST_F(RobustnessTest, RestartedMasterDropsItsDeadProcessesFailovers) {
+  Master* first = cluster_.active_master();
+  ASSERT_NE(first, nullptr);
+  Master* second = first == cluster_.master(0) ? cluster_.master(1)
+                                               : cluster_.master(0);
+  obs::Counter& failovers_started =
+      obs::Metrics().GetCounter("master.failovers_started");
+  obs::Counter& disk_failures =
+      obs::Metrics().GetCounter("master.disk_failures");
+
+  // Crash the active Master the moment it starts host 2's failover.
+  const std::uint64_t started = failovers_started.value();
+  cluster_.CrashHost(2);
+  for (int step = 0; step < 1000 && failovers_started.value() == started;
+       ++step) {
+    cluster_.RunFor(sim::MillisD(10));
+  }
+  ASSERT_GT(failovers_started.value(), started);
+  first->Crash();
+
+  // The standby takes over; host 2's disks end up served elsewhere.
+  cluster_.RunFor(sim::Seconds(60));
+  ASSERT_EQ(cluster_.active_master(), second);
+  const int host_of_disk_8 = second->CurrentHostOfDisk("disk-8");
+  ASSERT_GE(host_of_disk_8, 0);
+  ASSERT_NE(host_of_disk_8, 2);
+
+  // The first Master comes back as the standby, then takes over again.
+  first->Restart();
+  cluster_.RunFor(sim::Seconds(10));
+  second->Crash();
+
+  // A disk lost now must still be detected by the missing-disk check.
+  const std::uint64_t failures = disk_failures.value();
+  ASSERT_TRUE(cluster_.fabric().FailUnit("disk-0").ok());
+  for (int waited_s = 0; waited_s < 20 && disk_failures.value() == failures;
+       ++waited_s) {
+    cluster_.RunFor(sim::Seconds(1));
+  }
+  EXPECT_GT(disk_failures.value(), failures);
+  EXPECT_EQ(cluster_.active_master(), first);
 }
 
 TEST_F(RobustnessTest, FlakyEnumerationHealedByPowerCycle) {

@@ -194,6 +194,33 @@ TEST(SingleHostTreeTest, NoSwitchesNoFaultTolerance) {
   EXPECT_EQ(unreachable, 4);
 }
 
+// --- Node ordinals ---------------------------------------------------------------------
+
+// Every node's ordinal indexes its kind's list in the built fabric, for all
+// three builders: the FabricManager's disk table and control lines and the
+// Master's disk handles are addressed by it.
+TEST(NodeOrdinalTest, OrdinalIndexesTheKindListForEveryBuilder) {
+  const BuiltFabric fabrics[] = {
+      BuildPrototypeFabric({.groups = 3, .leaf_hubs_per_group = 2}),
+      BuildLeafSwitchedFabric({.disks = 10}),
+      BuildSingleHostTree({.disks = 9}),
+  };
+  for (const BuiltFabric& f : fabrics) {
+    for (NodeIndex i = 0; i < f.topology.size(); ++i) {
+      const Node& node = f.topology.node(i);
+      const std::vector<NodeIndex>& of_kind =
+          node.kind == NodeKind::kDisk     ? f.disks
+          : node.kind == NodeKind::kHub    ? f.hubs
+          : node.kind == NodeKind::kSwitch ? f.switches
+                                           : f.host_ports;
+      ASSERT_GE(node.ordinal, 0) << node.name;
+      ASSERT_LT(node.ordinal, static_cast<int>(of_kind.size())) << node.name;
+      EXPECT_EQ(of_kind[static_cast<std::size_t>(node.ordinal)], i)
+          << node.name;
+    }
+  }
+}
+
 // --- BOM ----------------------------------------------------------------------------
 
 TEST(BomTest, CountsComponents) {

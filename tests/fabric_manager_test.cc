@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "fabric/fabric_manager.h"
@@ -200,6 +201,78 @@ TEST_F(FabricManagerTest, FabricPowerDropsWhenHubsPoweredOff) {
   }
   sim_.RunFor(sim::Seconds(5));
   EXPECT_LT(manager_.FabricPower(), before * 0.3);
+}
+
+// The disk table is indexed by ordinal: by name and by node agree on every
+// wiring disk, and any other node or name has no disk.
+TEST_F(FabricManagerTest, DiskByNameAndByNodeAgree) {
+  const Topology& t = manager_.topology();
+  for (NodeIndex node : manager_.fabric().disks) {
+    hw::Disk* by_node = manager_.disk(node);
+    ASSERT_NE(by_node, nullptr) << t.node(node).name;
+    EXPECT_EQ(by_node->name(), t.node(node).name);
+    EXPECT_EQ(manager_.disk(t.node(node).name), by_node);
+  }
+  const NodeIndex not_disks[] = {NodeNamed("leafhub-0"), NodeNamed("swl-0"),
+                                 NodeNamed("host-0:p0"), kInvalidNode,
+                                 t.size()};
+  for (NodeIndex node : not_disks) {
+    EXPECT_EQ(manager_.disk(node), nullptr) << node;
+    if (node >= 0 && node < t.size()) {
+      EXPECT_EQ(manager_.disk(t.node(node).name), nullptr) << node;
+    }
+  }
+  EXPECT_EQ(manager_.disk("no-such-disk"), nullptr);
+}
+
+// Control lines run switches, then disk relays, then hub relays, each in
+// ordinal order.
+TEST_F(FabricManagerTest, ControlLinesFollowKindThenOrdinal) {
+  const BuiltFabric& f = manager_.fabric();
+  const int switches = static_cast<int>(f.switches.size());
+  const int disks = static_cast<int>(f.disks.size());
+  ASSERT_EQ(manager_.bus().line_count(),
+            switches + disks + static_cast<int>(f.hubs.size()));
+  auto only_high_line = [this] {
+    int high = -1;
+    for (int line = 0; line < manager_.bus().line_count(); ++line) {
+      if (!manager_.bus().line(line)) continue;
+      if (high >= 0) return -2;  // more than one line high
+      high = line;
+    }
+    return high;
+  };
+  const NodeIndex sw = f.switches[3];
+  ASSERT_TRUE(manager_.DriveSwitch(0, sw, true).ok());
+  EXPECT_EQ(only_high_line(), 3);
+  ASSERT_TRUE(manager_.DriveSwitch(0, sw, false).ok());
+  ASSERT_TRUE(manager_.DriveDiskPower(0, f.disks[5], false).ok());
+  EXPECT_EQ(only_high_line(), switches + 5);
+  ASSERT_TRUE(manager_.DriveDiskPower(0, f.disks[5], true).ok());
+  ASSERT_TRUE(manager_.DriveHubPower(0, f.hubs[2], false).ok());
+  EXPECT_EQ(only_high_line(), switches + disks + 2);
+}
+
+// Each Drive* wrapper rejects a node of another kind and leaves every bus
+// line as it was.
+TEST_F(FabricManagerTest, WrongKindIsRejectedWithoutTouchingTheBus) {
+  auto lines = [this] {
+    std::vector<bool> out;
+    for (int line = 0; line < manager_.bus().line_count(); ++line) {
+      out.push_back(manager_.bus().line(line));
+    }
+    return out;
+  };
+  const std::vector<bool> before = lines();
+  EXPECT_EQ(manager_.DriveSwitch(0, NodeNamed("disk-0"), true).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(manager_.DriveDiskPower(0, NodeNamed("leafhub-0"), false).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(manager_.DriveHubPower(0, NodeNamed("swl-0"), false).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(manager_.DriveSwitch(0, kInvalidNode, true).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(lines(), before);
 }
 
 TEST_F(FabricManagerTest, DisksPowerReflectsStates) {

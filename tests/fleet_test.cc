@@ -82,6 +82,18 @@ TEST(ShardedFleetTest, BitIdenticalAcrossEnginesThreadsAndShards) {
   }
 }
 
+// A pinned digest: a 4-unit fleet with the sharded Master and chaos. The
+// test above compares runners with each other; this one fixes the merged
+// report itself.
+TEST(ShardedFleetTest, FourUnitDigestIsPinned) {
+  ShardedFleetOptions options = SmallShardedFleet(/*sharded_master=*/true);
+  options.units = 4;
+  const ShardedFleetReport fleet = RunShardedFleet(options);
+  ASSERT_EQ(fleet.units.size(), 4u);
+  EXPECT_EQ(fleet.total_events, 1152u);
+  EXPECT_EQ(fleet.Digest(), 0xfb270d357bd7fd7cULL);
+}
+
 TEST(ShardedFleetTest, UnitsAreIndependentAndMergedInOrder) {
   ShardedFleetOptions options = SmallShardedFleet(true);
   options.threads = 2;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "consensus/meta_client.h"
 #include "core/cluster.h"
 #include "obs/metrics.h"
 
@@ -137,6 +138,58 @@ TEST_F(MasterIndexTest, SeenDiskSetTracksHeartbeatsAcrossRestart) {
   EXPECT_TRUE(master->CheckIndexesForTest(&why)) << "after beats: " << why;
   EXPECT_GE(master->CurrentHostOfDisk("disk-0"), 0);
   ExpectIndexesConsistent("after restart");
+}
+
+// A Master's disk handle is the wiring ordinal, so a persisted allocation
+// on a disk outside the wiring has nothing to be indexed under: the
+// successor Master leaves it out, loads every other allocation, and
+// answers NotFound for it.
+TEST_F(MasterIndexTest, SuccessorSkipsPersistedAllocationOffTheWiring) {
+  auto client = cluster_.MakeClient("client");
+  auto volume = AllocateSync(client.get(), "svc", GiB(10));
+  ASSERT_TRUE(volume.ok()) << volume.status();
+
+  consensus::MetaClient writer(&cluster_.sim(), &cluster_.network(),
+                               "stray-writer",
+                               cluster_.meta_client_options());
+  Status written = InternalError("pending");
+  writer.Start([&](Status started) {
+    if (!started.ok()) {
+      written = started;
+      return;
+    }
+    writer.Create("/ustore/alloc/u0/disk-999", "", false, [&](Status dir) {
+      if (!dir.ok()) {
+        written = dir;
+        return;
+      }
+      writer.Create("/ustore/alloc/u0/disk-999/1", "svc|0|1073741824", false,
+                    [&](Status space) { written = space; });
+    });
+  });
+  cluster_.RunFor(sim::Seconds(5));
+  ASSERT_TRUE(written.ok()) << written;
+
+  Master* first = cluster_.active_master();
+  ASSERT_NE(first, nullptr);
+  const std::size_t allocations = first->allocation_count();
+  first->Crash();
+  cluster_.RunFor(sim::Seconds(30));
+  Master* successor = cluster_.active_master();
+  ASSERT_NE(successor, nullptr);
+  ASSERT_NE(successor, first);
+  EXPECT_EQ(successor->allocation_count(), allocations);
+  ExpectIndexesConsistent("after failover");
+
+  Result<LookupResponse> stray = InternalError("pending");
+  Result<LookupResponse> kept = InternalError("pending");
+  client->Lookup(SpaceId{0, "disk-999", 1},
+                 [&](Result<LookupResponse> r) { stray = r; });
+  client->Lookup((*volume)->id(),
+                 [&](Result<LookupResponse> r) { kept = r; });
+  cluster_.RunFor(sim::Seconds(5));
+  EXPECT_EQ(stray.status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(kept.ok()) << kept.status();
 }
 
 // Property test: a seeded random mix of control-plane operations never

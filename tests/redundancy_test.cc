@@ -331,7 +331,8 @@ TEST(FailureDomains, PrototypeWiringGroupsByLeafHub) {
   std::set<std::string> seen;
   for (const fabric::FailureDomain& domain : domains.domains) {
     EXPECT_EQ(domain.disks.size(), 4u);
-    for (const std::string& name : domain.disk_names) {
+    for (fabric::NodeIndex disk : domain.disks) {
+      const std::string& name = fabric.topology.node(disk).name;
       EXPECT_TRUE(seen.insert(name).second) << name << " in two domains";
     }
   }

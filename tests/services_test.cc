@@ -286,8 +286,9 @@ class RebuildFixture : public ::testing::Test {
     const fabric::FailureDomainMap domains =
         fabric::EnumerateFailureDomains(cluster_.fabric().fabric());
     EXPECT_GE(domains.size(), 2);
-    source_disk_ = domains.domains[0].disk_names[0];
-    target_disk_ = domains.domains[1].disk_names[0];
+    const fabric::Topology& topology = cluster_.fabric().topology();
+    source_disk_ = topology.node(domains.domains[0].disks[0]).name;
+    target_disk_ = topology.node(domains.domains[1].disks[0]).name;
     source_ = MountOnDisk("rebuild-src", source_disk_);
     target_ = MountOnDisk("rebuild-dst", target_disk_);
   }

@@ -248,6 +248,42 @@ TEST(ShardedMasterDeterminismTest, FuzzedSeedsMatchUnderCrashChaos) {
   }
 }
 
+// A pinned digest: a 1,024-disk unit with the sharded Master under fault
+// and host-crash chaos. The determinism tests above compare engines with
+// each other; this one fixes the behaviour itself, so a refactor that
+// claims to keep the simulated behaviour must keep this value.
+TEST(ShardedMasterDeterminismTest, KiloDiskChaosDigestIsPinned) {
+  core::ShardedClusterOptions options;
+  options.cluster.seed = 42;
+  options.cluster.fabric.groups = 8;
+  options.cluster.fabric.disks_per_leaf = 4;
+  options.cluster.fabric.leaf_hubs_per_group = 32;
+  options.duration = sim::Seconds(1);
+  options.burst_period = sim::Millis(5);
+  options.burst_ops = 32;
+  options.request_size = KiB(512);
+  options.sweep_width = 256;
+  options.idle_timeout = sim::Millis(100);
+  options.directive_every_ops = 1024 * 64;
+  options.fault_probability = 0.01;
+  options.sharded_master = true;
+  options.host_crash_probability = 0.002;
+  options.host_crash_downtime = sim::Millis(300);
+  const core::ShardedClusterReport report =
+      core::RunShardedCluster(options, /*use_sharded=*/false);
+  std::uint64_t faults = 0;
+  for (const core::ShardedClusterGroupReport& group : report.per_group) {
+    faults += group.faults_requested;
+  }
+  // The chaos reached both the fabric and the lease protocol.
+  EXPECT_GT(faults, 0u);
+  EXPECT_GT(report.host_crashes, 0u);
+  EXPECT_GT(report.lease_revokes, 0u);
+  EXPECT_TRUE(report.master_index_ok);
+  EXPECT_EQ(report.events_processed, 7038u);
+  EXPECT_EQ(report.Digest(), 0xb89d597c1ef36592ULL);
+}
+
 TEST(ShardedMasterTest, LeasesMoveMetaDecisionsOffThePump) {
   // Same deployment with and without the sharded Master: leases must move
   // the meta traffic from pump round-trips to shard-local decisions.
