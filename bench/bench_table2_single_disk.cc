@@ -24,7 +24,7 @@ double MeasureDes(const hw::DiskModel& model, const hw::WorkloadSpec& spec,
   sim::Simulator sim;
   // Stamp this run's metrics/trace events with the local sim clock.
   obs::BindSimulator(&sim);
-  hw::Disk disk(&sim, "bench", model);
+  hw::Disk disk(&sim, "bench", &model);
   Rng rng(7);
   int completed = 0;
   std::function<void()> issue = [&] {

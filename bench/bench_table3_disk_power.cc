@@ -29,8 +29,8 @@ int main() {
 
   // Cross-check against the stateful disk model.
   sim::Simulator sim;
-  hw::Disk disk(&sim, "d", hw::DiskModel(hw::DiskParams{},
-                                         hw::UsbBridgeInterface()));
+  const hw::DiskModel model(hw::DiskParams{}, hw::UsbBridgeInterface());
+  hw::Disk disk(&sim, "d", &model);
   std::printf("\nLive hw::Disk (USB bridge): idle %.2f W",
               disk.current_power());
   disk.SubmitIo({MiB(4), hw::IoDirection::kRead,

@@ -29,7 +29,7 @@ Cluster::Cluster(ClusterOptions options)
   network_ = std::make_unique<net::Network>(&sim_, rng_.Fork());
 
   // The static wiring (SysConf) is built once; the FabricManager, both
-  // Controllers and every Master get copies, which share its name index.
+  // Controllers and every Master get copies that share it but not its state.
   const fabric::BuiltFabric wiring = BuildFor(options_);
   fabric_ = std::make_unique<fabric::FabricManager>(
       &sim_, wiring, options_.fabric_manager, rng_.Fork());

@@ -178,8 +178,6 @@ struct ShardedCluster::ControlState {
 
 ShardedCluster::ShardedCluster(ShardedClusterOptions options)
     : options_(std::move(options)),
-      disk_model_(options_.cluster.fabric_manager.disk_params,
-                  hw::UsbBridgeInterface()),
       control_trace_(options_.trace_capacity) {
   assert(options_.burst_ops >= 1);
   assert(options_.sweep_width >= 1);
@@ -212,8 +210,8 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options)
   for (int g = 0; g < plan_.groups(); ++g) {
     auto grp = std::make_unique<Group>(
         g, plan_.group_shard[g], FleetUnitSeed(options_.cluster.seed, g),
-        &disk_model_, static_cast<int>(nodes_of_group[g].size()),
-        idle_timeout, options_);
+        &cluster_->fabric().disk_model(),
+        static_cast<int>(nodes_of_group[g].size()), idle_timeout, options_);
     grp->nodes = std::move(nodes_of_group[g]);
     const int host = grp->nodes.empty()
                          ? -1

@@ -47,7 +47,6 @@
 
 #include "core/cluster.h"
 #include "fabric/shard_plan.h"
-#include "hw/disk_model.h"
 #include "hw/disk_soa.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -235,7 +234,6 @@ class ShardedCluster {
   ShardedClusterReport BuildReport();
 
   ShardedClusterOptions options_;
-  hw::DiskModel disk_model_;
   obs::MetricsRegistry control_metrics_;
   obs::TraceBuffer control_trace_;
   std::unique_ptr<Cluster> cluster_;

@@ -135,7 +135,7 @@ Result<std::vector<fabric::SwitchSetting>> Controller::SwitchesToTurn(
     USTORE_ASSIGN_OR_RETURN(std::vector<fabric::SwitchSetting> settings,
                             topology.RouteTo(disk, port));
     for (const auto& setting : settings) {
-      const bool current = topology.node(setting.switch_node).select;
+      const bool current = topology.selected(setting.switch_node);
       if (setting.select == current) {
         planned.insert(setting.switch_node);
         continue;  // already in the desired state

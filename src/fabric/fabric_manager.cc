@@ -13,6 +13,7 @@ FabricManager::FabricManager(sim::Simulator* sim, BuiltFabric fabric,
     : sim_(sim),
       fabric_(std::move(fabric)),
       options_(options),
+      disk_model_(options_.disk_params, hw::UsbBridgeInterface()),
       rng_(rng),
       bus_(static_cast<int>(fabric_.switches.size() + fabric_.disks.size() +
                             fabric_.hubs.size())) {
@@ -37,11 +38,10 @@ FabricManager::FabricManager(sim::Simulator* sim, BuiltFabric fabric,
         sim_, fabric_.hosts[h], options_.host_params));
   }
 
-  const hw::DiskModel model(options_.disk_params, hw::UsbBridgeInterface());
   disks_.reserve(fabric_.disks.size());
   for (NodeIndex node : fabric_.disks) {
     disks_.push_back(std::make_unique<hw::Disk>(
-        sim_, fabric_.topology.node(node).name, model,
+        sim_, fabric_.topology.node(node).name, &disk_model_,
         options_.disks_start_powered));
     if (!options_.disks_start_powered) {
       fabric_.topology.SetPowered(node, false);
@@ -294,7 +294,7 @@ Watts FabricManager::FabricPower() const {
   const HubPowerModel hub_model;
   Watts total = 0;
   for (NodeIndex hub : fabric_.hubs) {
-    if (!t.node(hub).powered || t.node(hub).failed) continue;
+    if (!t.powered(hub) || t.failed(hub)) continue;
     // Count powered active children (through switches).
     int active = 0;
     for (NodeIndex child : t.ActiveChildren(hub)) {
@@ -305,12 +305,12 @@ Watts FabricManager::FabricPower() const {
           if (j != leaf) leaf = j;
         }
       }
-      if (t.node(leaf).powered && !t.node(leaf).failed) ++active;
+      if (t.powered(leaf) && !t.failed(leaf)) ++active;
     }
     total += HubPower(hub_model, active);
   }
   for (NodeIndex sw : fabric_.switches) {
-    if (t.node(sw).powered) total += kSwitchPower;
+    if (t.powered(sw)) total += kSwitchPower;
   }
   return total;
 }

@@ -6,7 +6,7 @@
 //   * two Microcontrollers on an XOR signal bus driving the switch-select
 //     and power-relay lines (§III-B),
 //   * one UsbHostStack per host (what each host OS sees),
-//   * one hw::Disk per fabric disk node (behind a USB bridge model).
+//   * one hw::Disk per fabric disk node, all sharing one USB-bridge DiskModel.
 //
 // When a bus line changes, the manager applies the electrical effect after
 // a short settle delay, recomputes every device's attachment, and delivers
@@ -54,6 +54,7 @@ class FabricManager {
   const BuiltFabric& fabric() const { return fabric_; }
   const Topology& topology() const { return fabric_.topology; }
   int host_count() const { return static_cast<int>(fabric_.hosts.size()); }
+  const hw::DiskModel& disk_model() const { return disk_model_; }
 
   // A wiring disk's hw::Disk; nullptr for any other node or name.
   hw::Disk* disk(const std::string& name);
@@ -119,6 +120,7 @@ class FabricManager {
   sim::Simulator* sim_;
   BuiltFabric fabric_;
   Options options_;
+  hw::DiskModel disk_model_;  // outlives disks_, which borrow it
   Rng rng_;
 
   hw::XorSignalBus bus_;

@@ -18,15 +18,14 @@ std::string_view NodeKindName(NodeKind kind) {
 }
 
 NodeIndex Topology::Add(Node node) {
-  const auto i = static_cast<NodeIndex>(nodes_.size());
-  if (index_ == nullptr) {
-    index_ = std::make_shared<NameIndex>();
-  } else if (index_.use_count() > 1) {
-    index_ = std::make_shared<NameIndex>(*index_);
-  }
-  index_->try_emplace(node.name, i);
-  node.ordinal = kind_count_[static_cast<std::size_t>(node.kind)]++;
-  nodes_.push_back(std::move(node));
+  if (wiring_.use_count() > 1) wiring_ = std::make_shared<Wiring>(*wiring_);
+  const auto i = static_cast<NodeIndex>(wiring_->nodes.size());
+  wiring_->index.try_emplace(node.name, i);
+  auto& of_kind = wiring_->of_kind[static_cast<std::size_t>(node.kind)];
+  node.ordinal = static_cast<int>(of_kind.size());
+  of_kind.push_back(i);
+  wiring_->nodes.push_back(std::move(node));
+  state_.emplace_back();
   ++generation_;
   return i;
 }
@@ -60,25 +59,16 @@ NodeIndex Topology::AddDisk(std::string name, NodeIndex upstream) {
 }
 
 Result<NodeIndex> Topology::Find(const std::string& name) const {
-  if (index_ != nullptr) {
-    if (auto it = index_->find(name); it != index_->end()) return it->second;
-  }
+  const auto it = wiring_->index.find(name);
+  if (it != wiring_->index.end()) return it->second;
   return NotFoundError("no fabric node named " + name);
 }
 
-std::vector<NodeIndex> Topology::NodesOfKind(NodeKind kind) const {
-  std::vector<NodeIndex> out;
-  for (NodeIndex i = 0; i < size(); ++i) {
-    if (nodes_[i].kind == kind) out.push_back(i);
-  }
-  return out;
-}
-
 NodeIndex Topology::ActiveUpstream(NodeIndex i) const {
-  const Node& n = nodes_.at(i);
+  const Node& n = nodes().at(i);
   if (n.kind == NodeKind::kHostPort) return kInvalidNode;
   if (n.kind == NodeKind::kSwitch) {
-    return n.select ? n.up_secondary : n.up_primary;
+    return state_[i].select ? n.up_secondary : n.up_primary;
   }
   return n.up_primary;
 }
@@ -92,31 +82,31 @@ std::vector<NodeIndex> Topology::ActiveChildren(NodeIndex i) const {
 }
 
 void Topology::SetSwitch(NodeIndex switch_node, bool select) {
-  Node& n = nodes_.at(switch_node);
-  assert(n.kind == NodeKind::kSwitch);
-  if (n.select == select) return;
-  n.select = select;
+  assert(node(switch_node).kind == NodeKind::kSwitch);
+  NodeState& s = state_.at(switch_node);
+  if (s.select == select) return;
+  s.select = select;
   ++generation_;
 }
 
 void Topology::SetFailed(NodeIndex i, bool failed) {
-  Node& n = nodes_.at(i);
-  if (n.failed == failed) return;
-  n.failed = failed;
+  NodeState& s = state_.at(i);
+  if (s.failed == failed) return;
+  s.failed = failed;
   ++generation_;
 }
 
 void Topology::SetPowered(NodeIndex i, bool powered) {
-  Node& n = nodes_.at(i);
-  if (n.powered == powered) return;
-  n.powered = powered;
+  NodeState& s = state_.at(i);
+  if (s.powered == powered) return;
+  s.powered = powered;
   ++generation_;
 }
 
 const std::vector<NodeIndex>& Topology::ActivePathRef(
     NodeIndex device) const {
-  if (path_cache_.size() != nodes_.size()) {
-    path_cache_.assign(nodes_.size(), PathCacheEntry{});
+  if (path_cache_.size() != nodes().size()) {
+    path_cache_.assign(nodes().size(), PathCacheEntry{});
   }
   PathCacheEntry& entry = path_cache_.at(static_cast<std::size_t>(device));
   if (entry.gen != generation_) {
@@ -134,8 +124,8 @@ std::vector<NodeIndex> Topology::WalkActivePath(NodeIndex device) const {
     path.push_back(cur);
     // Guard against configuration cycles (should not happen in validated
     // fabrics, but a half-applied switch change must not hang us).
-    if (path.size() > nodes_.size()) return {};
-    const Node& n = nodes_[cur];
+    if (path.size() > nodes().size()) return {};
+    const Node& n = nodes()[cur];
     if (n.kind == NodeKind::kHostPort) return path;
     cur = ActiveUpstream(cur);
   }
@@ -150,13 +140,13 @@ NodeIndex Topology::AttachedHostPort(NodeIndex device) const {
 
 Result<std::vector<SwitchSetting>> Topology::RouteTo(NodeIndex disk,
                                                      NodeIndex host) const {
-  assert(nodes_.at(disk).kind == NodeKind::kDisk);
-  assert(nodes_.at(host).kind == NodeKind::kHostPort);
+  assert(nodes().at(disk).kind == NodeKind::kDisk);
+  assert(nodes().at(host).kind == NodeKind::kHostPort);
   if (!Usable(disk)) {
-    return UnavailableError(nodes_[disk].name + " is failed or unpowered");
+    return UnavailableError(nodes()[disk].name + " is failed or unpowered");
   }
   if (!Usable(host)) {
-    return UnavailableError(nodes_[host].name + " is failed or unpowered");
+    return UnavailableError(nodes()[host].name + " is failed or unpowered");
   }
 
   // Depth-first search upward, choosing switch branches. The fabric above a
@@ -167,7 +157,7 @@ Result<std::vector<SwitchSetting>> Topology::RouteTo(NodeIndex disk,
     if (depth > size()) return false;  // cycle guard
     if (!Usable(cur)) return false;
     if (cur == host) return true;
-    const Node& n = nodes_[cur];
+    const Node& n = nodes()[cur];
     if (n.kind == NodeKind::kHostPort) return false;  // wrong root
     if (n.kind == NodeKind::kSwitch) {
       for (bool select : {false, true}) {
@@ -182,8 +172,8 @@ Result<std::vector<SwitchSetting>> Topology::RouteTo(NodeIndex disk,
   };
 
   if (!dfs(disk, 0)) {
-    return NotFoundError("no usable path from " + nodes_[disk].name + " to " +
-                         nodes_[host].name);
+    return NotFoundError("no usable path from " + nodes()[disk].name + " to " +
+                         nodes()[host].name);
   }
   return settings;
 }
@@ -199,7 +189,7 @@ std::vector<NodeIndex> Topology::ReachableHostPorts(NodeIndex disk) const {
 int Topology::TierOf(NodeIndex device) const {
   int hubs = 0;
   for (NodeIndex i : ActivePathRef(device)) {
-    if (i != device && nodes_[i].kind == NodeKind::kHub) ++hubs;
+    if (i != device && nodes()[i].kind == NodeKind::kHub) ++hubs;
   }
   return hubs;
 }
@@ -207,7 +197,7 @@ int Topology::TierOf(NodeIndex device) const {
 NodeIndex Topology::UsbParentOf(NodeIndex device) const {
   const std::vector<NodeIndex>& path = ActivePathRef(device);
   for (std::size_t i = 1; i < path.size(); ++i) {
-    const NodeKind kind = nodes_[path[i]].kind;
+    const NodeKind kind = nodes()[path[i]].kind;
     if (kind == NodeKind::kHub || kind == NodeKind::kHostPort) {
       return path[i];
     }
@@ -217,11 +207,11 @@ NodeIndex Topology::UsbParentOf(NodeIndex device) const {
 
 std::vector<NodeIndex> Topology::FailureUnitOf(NodeIndex i) const {
   std::vector<NodeIndex> unit{i};
-  const Node& n = nodes_.at(i);
+  const Node& n = nodes().at(i);
   if (n.kind == NodeKind::kSwitch) {
     // A switch belongs to the unit of the component below it.
     for (NodeIndex j = 0; j < size(); ++j) {
-      if (nodes_[j].kind != NodeKind::kSwitch && nodes_[j].up_primary == i) {
+      if (nodes()[j].kind != NodeKind::kSwitch && nodes()[j].up_primary == i) {
         unit.push_back(j);
       }
     }
@@ -230,7 +220,7 @@ std::vector<NodeIndex> Topology::FailureUnitOf(NodeIndex i) const {
   // The switch this component's uplink feeds into (if its direct upstream
   // is a switch) shares its fate: they are physically packaged together.
   if (n.up_primary != kInvalidNode &&
-      nodes_[n.up_primary].kind == NodeKind::kSwitch) {
+      nodes()[n.up_primary].kind == NodeKind::kSwitch) {
     unit.push_back(n.up_primary);
   }
   return unit;
@@ -240,7 +230,7 @@ Status Topology::Validate(int hub_fan_in) const {
   // Upstream references must point "backwards" is not required, but the
   // graph must be acyclic following all possible upstreams.
   for (NodeIndex i = 0; i < size(); ++i) {
-    const Node& n = nodes_[i];
+    const Node& n = nodes()[i];
     switch (n.kind) {
       case NodeKind::kHostPort:
         if (n.up_primary != kInvalidNode) {
@@ -266,16 +256,16 @@ Status Topology::Validate(int hub_fan_in) const {
   // hub as upstream).
   std::map<NodeIndex, int> fan_in;
   for (NodeIndex i = 0; i < size(); ++i) {
-    const Node& n = nodes_[i];
+    const Node& n = nodes()[i];
     for (NodeIndex up : {n.up_primary, n.up_secondary}) {
-      if (up != kInvalidNode && nodes_[up].kind == NodeKind::kHub) {
+      if (up != kInvalidNode && nodes()[up].kind == NodeKind::kHub) {
         ++fan_in[up];
       }
     }
   }
   for (const auto& [hub, count] : fan_in) {
     if (count > hub_fan_in) {
-      return InternalError(nodes_[hub].name + ": fan-in " +
+      return InternalError(nodes()[hub].name + ": fan-in " +
                            std::to_string(count) + " exceeds " +
                            std::to_string(hub_fan_in));
     }
@@ -283,12 +273,12 @@ Status Topology::Validate(int hub_fan_in) const {
 
   // Acyclicity over the full upstream relation (both switch branches).
   enum class Mark { kWhite, kGrey, kBlack };
-  std::vector<Mark> marks(nodes_.size(), Mark::kWhite);
+  std::vector<Mark> marks(nodes().size(), Mark::kWhite);
   std::function<bool(NodeIndex)> has_cycle = [&](NodeIndex i) -> bool {
     if (marks[i] == Mark::kGrey) return true;
     if (marks[i] == Mark::kBlack) return false;
     marks[i] = Mark::kGrey;
-    const Node& n = nodes_[i];
+    const Node& n = nodes()[i];
     for (NodeIndex up : {n.up_primary, n.up_secondary}) {
       if (up != kInvalidNode && has_cycle(up)) return true;
     }

@@ -27,14 +27,12 @@ enum class NodeKind { kHostPort, kHub, kSwitch, kDisk };
 
 std::string_view NodeKindName(NodeKind kind);
 
+// One node of the static wiring; switch, fail and power state are per copy.
 struct Node {
   NodeKind kind;
   std::string name;
   NodeIndex up_primary = kInvalidNode;    // all non-root nodes
   NodeIndex up_secondary = kInvalidNode;  // switches only
-  bool failed = false;
-  bool powered = true;
-  bool select = false;  // switches: false -> up_primary, true -> up_secondary
   // Rank among the nodes of this kind, in creation order: a disk's ordinal
   // is its index in BuiltFabric::disks and its one in-process identity.
   int ordinal = -1;
@@ -61,20 +59,26 @@ class Topology {
   Status Validate(int hub_fan_in) const;
 
   // --- Accessors -------------------------------------------------------------
-  int size() const { return static_cast<int>(nodes_.size()); }
-  const Node& node(NodeIndex i) const { return nodes_.at(i); }
+  int size() const { return static_cast<int>(nodes().size()); }
+  const Node& node(NodeIndex i) const { return nodes().at(i); }
   // O(1) by name; for a duplicate name, the first node added wins.
   Result<NodeIndex> Find(const std::string& name) const;
   // The ordinal of node `i` when it is a node of `kind`; -1 otherwise,
   // including for an index outside the topology.
   int OrdinalOf(NodeIndex i, NodeKind kind) const {
-    return i >= 0 && i < size() && nodes_[i].kind == kind ? nodes_[i].ordinal
-                                                          : -1;
+    return i >= 0 && i < size() && nodes()[i].kind == kind ? nodes()[i].ordinal
+                                                            : -1;
   }
 
-  std::vector<NodeIndex> NodesOfKind(NodeKind kind) const;
-  std::vector<NodeIndex> Disks() const { return NodesOfKind(NodeKind::kDisk); }
-  std::vector<NodeIndex> HostPorts() const {
+  // The nodes of `kind` in creation order (so index == ordinal). The
+  // reference is valid until the next node addition.
+  const std::vector<NodeIndex>& NodesOfKind(NodeKind kind) const {
+    return wiring_->of_kind[static_cast<std::size_t>(kind)];
+  }
+  const std::vector<NodeIndex>& Disks() const {
+    return NodesOfKind(NodeKind::kDisk);
+  }
+  const std::vector<NodeIndex>& HostPorts() const {
     return NodesOfKind(NodeKind::kHostPort);
   }
 
@@ -82,10 +86,14 @@ class Topology {
   // considered).
   std::vector<NodeIndex> ActiveChildren(NodeIndex i) const;
 
-  // --- Switch and component state ---------------------------------------------
+  // --- Switch and component state, this copy's own ----------------------------
   void SetSwitch(NodeIndex switch_node, bool select);
   void SetFailed(NodeIndex i, bool failed);
   void SetPowered(NodeIndex i, bool powered);
+  // A switch's select line: false -> up_primary, true -> up_secondary.
+  bool selected(NodeIndex i) const { return state_.at(i).select; }
+  bool failed(NodeIndex i) const { return state_.at(i).failed; }
+  bool powered(NodeIndex i) const { return state_.at(i).powered; }
 
   // Monotonic configuration version: bumped by every mutation that can
   // change an active path (construction, switch flips, fail/power changes).
@@ -140,25 +148,31 @@ class Topology {
 
  private:
   NodeIndex Add(Node node);
+  const std::vector<Node>& nodes() const { return wiring_->nodes; }
   bool Usable(NodeIndex i) const {
-    const Node& n = nodes_[i];
-    return !n.failed && n.powered;
+    const NodeState& s = state_[i];
+    return !s.failed && s.powered;
   }
 
+  // Nothing in the static wiring changes after Add, so copies share it; Add
+  // clones a shared Wiring first, so growing one copy never changes another.
+  struct Wiring {
+    std::vector<Node> nodes;
+    std::unordered_map<std::string, NodeIndex> index;  // name -> first node
+    std::array<std::vector<NodeIndex>, 4> of_kind;  // by NodeKind
+  };
+  struct NodeState {
+    bool failed = false;
+    bool powered = true;
+    bool select = false;  // switches only
+  };
   struct PathCacheEntry {
     std::uint64_t gen = 0;  // generation the cached path was walked at
     std::vector<NodeIndex> path;
   };
 
-  using NameIndex = std::unordered_map<std::string, NodeIndex>;
-
-  std::vector<Node> nodes_;
-  // Name -> first node of that name, filled by Add. Names never change
-  // after Add, so copies of a topology share one index; Add clones a shared
-  // index before inserting, so growing one copy never changes another's
-  // lookups.
-  std::shared_ptr<NameIndex> index_;
-  std::array<int, 4> kind_count_{};  // nodes added so far, by NodeKind
+  std::shared_ptr<Wiring> wiring_ = std::make_shared<Wiring>();
+  std::vector<NodeState> state_;  // this copy's own, by NodeIndex
   std::uint64_t generation_ = 1;
   mutable std::vector<PathCacheEntry> path_cache_;  // indexed by device
 };

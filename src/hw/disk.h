@@ -29,7 +29,6 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "hw/disk_model.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/event_fn.h"
 #include "sim/simulator.h"
@@ -86,13 +85,14 @@ class Disk {
   // allocation-free.
   using BatchCallback = sim::SmallFn<void(std::span<const IoCompletion>)>;
 
-  Disk(sim::Simulator* sim, std::string name, DiskModel model,
+  // `model` is borrowed and shared by every disk of the unit.
+  Disk(sim::Simulator* sim, std::string name, const DiskModel* model,
        bool start_powered = true, DiskQueueOptions queue_options = {});
 
   const std::string& name() const { return name_; }
-  const DiskModel& model() const { return model_; }
+  const DiskModel& model() const { return *model_; }
   DiskState state() const { return state_; }
-  Bytes capacity() const { return model_.disk().capacity; }
+  Bytes capacity() const { return model_->disk().capacity; }
   const DiskQueueOptions& queue_options() const { return queue_options_; }
 
   // --- I/O -----------------------------------------------------------------
@@ -198,7 +198,7 @@ class Disk {
   sim::Simulator* sim_;
   std::string name_;
   std::string trace_component_;  // "disk:<name>", cached off the hot path
-  DiskModel model_;
+  const DiskModel* model_;
   DiskQueueOptions queue_options_;
   DiskState state_;
   bool failed_ = false;
@@ -234,15 +234,6 @@ class Disk {
   Bytes bytes_read_ = 0;
   Bytes bytes_written_ = 0;
   std::unordered_map<Bytes, std::uint64_t> fingerprints_;
-
-  // Cached metric handles for the per-request hot path.
-  obs::HistogramHandle service_time_us_;
-  obs::HistogramHandle queue_depth_hist_;
-  obs::HistogramHandle batch_size_hist_;
-  obs::CounterHandle op_count_;
-  obs::CounterHandle op_read_bytes_;
-  obs::CounterHandle op_write_bytes_;
-  obs::CounterHandle op_rejected_;
 };
 
 }  // namespace ustore::hw

@@ -69,7 +69,7 @@ class DiskStateArray {
     sim::Time next_deadline = -1;  // earliest future idle deadline, or -1
   };
 
-  // `model` is borrowed and shared by every disk in the array.
+  // `model` is borrowed: the unit's one model, shared with every hw::Disk.
   DiskStateArray(const DiskModel* model, int count,
                  sim::Duration idle_timeout);
 

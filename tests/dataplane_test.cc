@@ -63,7 +63,8 @@ RunOutcome RunPlan(const std::vector<IoRequest>& requests,
   sim::Simulator sim;
   obs::BindSimulator(&sim);
   {
-    Disk disk(&sim, "eq", DiskModel(DiskParams{}, hw::UsbBridgeInterface()));
+    const DiskModel model(DiskParams{}, hw::UsbBridgeInterface());
+    Disk disk(&sim, "eq", &model);
     RunOutcome out;
     out.completed_at.assign(requests.size(), -1);
 
@@ -290,7 +291,8 @@ TEST(DataPlaneEndToEnd, PhaseHistogramsPartitionEndToEndLatency) {
 
 TEST(DataPlaneBackpressure, OversizedBatchIsRejectedAtomically) {
   sim::Simulator sim;
-  Disk disk(&sim, "bp", DiskModel(DiskParams{}, hw::SataInterface()),
+  const DiskModel model(DiskParams{}, hw::SataInterface());
+  Disk disk(&sim, "bp", &model,
             /*start_powered=*/true,
             DiskQueueOptions{.queue_capacity = 4, .max_batch = 2});
 
@@ -325,7 +327,8 @@ TEST(DataPlaneBackpressure, OversizedBatchIsRejectedAtomically) {
 
 TEST(DataPlaneBackpressure, SerialOverflowFailsOnlyTheExcessRequest) {
   sim::Simulator sim;
-  Disk disk(&sim, "bp", DiskModel(DiskParams{}, hw::SataInterface()),
+  const DiskModel model(DiskParams{}, hw::SataInterface());
+  Disk disk(&sim, "bp", &model,
             /*start_powered=*/true,
             DiskQueueOptions{.queue_capacity = 2, .max_batch = 2});
 
@@ -362,7 +365,7 @@ TEST(DataPlaneFastForward, SteadyStateMatchesWorkloadSpecMath) {
 
   // A homogeneous batch drains at exactly that cadence: t_i = t_1 + i*s.
   sim::Simulator sim;
-  Disk disk(&sim, "ff", DiskModel(DiskParams{}, hw::SataInterface()));
+  Disk disk(&sim, "ff", &model);
   std::vector<IoRequest> batch(16, req);
   std::vector<sim::Time> completions;
   disk.SubmitBatch(batch, [&](std::span<const IoCompletion> done) {
@@ -380,7 +383,8 @@ TEST(DataPlaneFastForward, SteadyStateMatchesWorkloadSpecMath) {
 
 TEST(DataPlaneFailure, PowerOffMidBatchFailsOnlyNotYetCompletedMembers) {
   sim::Simulator sim;
-  Disk disk(&sim, "pf", DiskModel(DiskParams{}, hw::SataInterface()));
+  const DiskModel model(DiskParams{}, hw::SataInterface());
+  Disk disk(&sim, "pf", &model);
 
   // Six identical 4MiB reads take ~22.7ms each; power off at 50ms, i.e.
   // after the second completion and before the third.
@@ -413,7 +417,8 @@ TEST(DataPlaneFailure, PowerOffMidBatchFailsOnlyNotYetCompletedMembers) {
 
 TEST(DataPlaneFailure, FailMidBatchClassifiesByFailureInstantAndRingReusable) {
   sim::Simulator sim;
-  Disk disk(&sim, "fb", DiskModel(DiskParams{}, hw::SataInterface()));
+  const DiskModel model(DiskParams{}, hw::SataInterface());
+  Disk disk(&sim, "fb", &model);
 
   // Same shape as the power-cut test, but through Fail() — a hardware
   // fault while the window drains — and with the completion callback
@@ -457,7 +462,8 @@ TEST(DataPlaneFailure, FailMidBatchClassifiesByFailureInstantAndRingReusable) {
 
 TEST(DataPlaneFailure, ResubmitFromFailureCallbackSurvivesTheFailSweep) {
   sim::Simulator sim;
-  Disk disk(&sim, "fs", DiskModel(DiskParams{}, hw::SataInterface()));
+  const DiskModel model(DiskParams{}, hw::SataInterface());
+  Disk disk(&sim, "fs", &model);
 
   // a drains immediately; b and c queue behind it in the ring. Fail()
   // sweeps the ring, and b's failure callback repairs the disk and
@@ -487,7 +493,8 @@ TEST(DataPlaneFailure, ResubmitFromFailureCallbackSurvivesTheFailSweep) {
 
 TEST(DataPlaneFailure, BatchToSpunDownDiskTriggersOneImplicitSpinUp) {
   sim::Simulator sim;
-  Disk disk(&sim, "su", DiskModel(DiskParams{}, hw::SataInterface()));
+  const DiskModel model(DiskParams{}, hw::SataInterface());
+  Disk disk(&sim, "su", &model);
   disk.SpinDown();
   sim.Run();
   ASSERT_EQ(disk.state(), hw::DiskState::kSpunDown);

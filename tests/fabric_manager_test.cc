@@ -225,6 +225,27 @@ TEST_F(FabricManagerTest, DiskByNameAndByNodeAgree) {
   EXPECT_EQ(manager_.disk("no-such-disk"), nullptr);
 }
 
+// Every disk of the unit borrows the FabricManager's one model, built from
+// Options::disk_params behind the USB bridge.
+TEST_F(FabricManagerTest, EveryDiskBorrowsTheOneModel) {
+  FabricManager::Options options;
+  options.disk_params.capacity = TB(8);
+  options.disk_params.spin_up_time = sim::Seconds(12);
+  options.disk_params.power_idle = 5.5;
+  FabricManager manager(&sim_, BuildPrototypeFabric(), options, Rng(7));
+  const hw::DiskModel& model = manager.disk_model();
+  for (NodeIndex node : manager.fabric().disks) {
+    ASSERT_NE(manager.disk(node), nullptr) << node;
+    EXPECT_EQ(&manager.disk(node)->model(), &model) << node;
+  }
+  EXPECT_EQ(model.disk().capacity, options.disk_params.capacity);
+  EXPECT_EQ(model.disk().spin_up_time, options.disk_params.spin_up_time);
+  EXPECT_EQ(model.disk().power_idle, options.disk_params.power_idle);
+  EXPECT_EQ(model.disk().rpm, options.disk_params.rpm);
+  EXPECT_STREQ(model.iface().name, hw::UsbBridgeInterface().name);
+  EXPECT_EQ(manager.disk("disk-0")->capacity(), TB(8));
+}
+
 // Control lines run switches, then disk relays, then hub relays, each in
 // ordinal order.
 TEST_F(FabricManagerTest, ControlLinesFollowKindThenOrdinal) {

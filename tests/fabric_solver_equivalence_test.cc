@@ -158,7 +158,7 @@ TEST(SolverEquivalenceTest, RepeatedSolvesWithoutMutationDoNotRebuild) {
   EXPECT_EQ(solver.solve_count(), 21u);
   EXPECT_EQ(solver.rebuild_count(), 1u);  // demand values alone never rebuild
 
-  f.topology.SetSwitch(f.switches[0], !f.topology.node(f.switches[0]).select);
+  f.topology.SetSwitch(f.switches[0], !f.topology.selected(f.switches[0]));
   solver.Solve(demands);
   EXPECT_EQ(solver.rebuild_count(), 2u);  // topology mutation rebuilds once
   solver.Solve(demands);

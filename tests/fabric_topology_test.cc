@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "fabric/builders.h"
 #include "fabric/topology.h"
@@ -142,10 +144,43 @@ TEST_F(TinyFabricTest, FindReturnsTheFirstOfDuplicateNames) {
 }
 
 TEST_F(TinyFabricTest, AddOnACopyLeavesTheOriginalUnchanged) {
+  // Copies share the wiring but not the state: switch, fail and power
+  // settings on either side leave the other's state, generation and active
+  // paths alone. Both path caches are warm before anything changes.
+  const std::vector<NodeIndex> via_a = t_.ActivePath(disk_);
+  const std::vector<NodeIndex> via_b{disk_, sw_, hub_b_, host_b_};
+  for (const bool copy_moves : {true, false}) {
+    Topology copy = t_;
+    Topology& moved = copy_moves ? copy : t_;
+    const Topology& still = copy_moves ? t_ : copy;
+    ASSERT_EQ(copy.ActivePath(disk_), via_a);
+    const std::uint64_t generation = still.generation();
+    moved.SetSwitch(sw_, true);
+    moved.SetFailed(hub_a_, true);
+    moved.SetPowered(host_a_, false);
+
+    EXPECT_TRUE(moved.selected(sw_));
+    EXPECT_TRUE(moved.failed(hub_a_));
+    EXPECT_FALSE(moved.powered(host_a_));
+    EXPECT_GT(moved.generation(), generation);
+    EXPECT_EQ(moved.ActivePath(disk_), via_b);
+
+    EXPECT_FALSE(still.selected(sw_)) << "copy_moves=" << copy_moves;
+    EXPECT_FALSE(still.failed(hub_a_));
+    EXPECT_TRUE(still.powered(host_a_));
+    EXPECT_EQ(still.generation(), generation);
+    EXPECT_EQ(still.ActivePath(disk_), via_a);
+  }
+
+  const int size = t_.size();
   Topology copy = t_;
   const NodeIndex added = copy.AddDisk("disk-1", hub_b_);
   EXPECT_EQ(copy.Find("disk-1").value_or(kInvalidNode), added);
+  EXPECT_TRUE(copy.powered(added));
+  EXPECT_EQ(copy.Disks(), (std::vector<NodeIndex>{disk_, added}));
   EXPECT_EQ(t_.Find("disk-1").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(t_.size(), size);
+  EXPECT_EQ(t_.Disks(), std::vector<NodeIndex>{disk_});
 
   // Growing the original afterwards leaves the copy alone in turn, even
   // though both now hold a node at the same index.
@@ -156,6 +191,11 @@ TEST_F(TinyFabricTest, AddOnACopyLeavesTheOriginalUnchanged) {
   EXPECT_EQ(t_.Find("disk-1").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(t_.Find("disk-0").value_or(kInvalidNode), disk_);
   EXPECT_EQ(copy.Find("disk-0").value_or(kInvalidNode), disk_);
+  EXPECT_EQ(t_.node(other).name, "disk-2");
+  EXPECT_EQ(copy.node(added).name, "disk-1");
+  EXPECT_EQ(copy.size(), t_.size());
+  EXPECT_EQ(copy.NodesOfKind(NodeKind::kHub),
+            (std::vector<NodeIndex>{hub_a_, hub_b_}));
 }
 
 TEST(TopologyNameIndexTest, CopiesOfABuiltFabricFindEveryNode) {

@@ -31,7 +31,7 @@ TEST(DiskStateArrayTest, MatchesRealDiskOnIdleBatch) {
   const hw::DiskModel model(hw::DiskParams{}, hw::UsbBridgeInterface());
   for (const std::uint64_t ops : {1ull, 2ull, 16ull, 48ull}) {
     sim::Simulator sim;
-    hw::Disk disk(&sim, "ref", model, /*start_powered=*/true,
+    hw::Disk disk(&sim, "ref", &model, /*start_powered=*/true,
                   {.queue_capacity = 256, .max_batch = 32});
     hw::IoRequest shape{KiB(512), hw::IoDirection::kRead,
                         hw::AccessPattern::kSequential};
@@ -59,7 +59,7 @@ TEST(DiskStateArrayTest, MatchesRealDiskOnIdleBatch) {
 TEST(DiskStateArrayTest, MatchesRealDiskAcrossDirectionSwitch) {
   const hw::DiskModel model(hw::DiskParams{}, hw::UsbBridgeInterface());
   sim::Simulator sim;
-  hw::Disk disk(&sim, "ref", model, true, {.queue_capacity = 256});
+  hw::Disk disk(&sim, "ref", &model, true, {.queue_capacity = 256});
   hw::DiskStateArray soa(&model, 1, 0);
 
   const hw::IoRequest read{KiB(256), hw::IoDirection::kRead,
@@ -87,7 +87,7 @@ TEST(DiskStateArrayTest, MatchesRealDiskAcrossDirectionSwitch) {
 TEST(DiskStateArrayTest, MatchesRealDiskSpinUpCharge) {
   const hw::DiskModel model(hw::DiskParams{}, hw::UsbBridgeInterface());
   sim::Simulator sim;
-  hw::Disk disk(&sim, "ref", model, /*start_powered=*/false,
+  hw::Disk disk(&sim, "ref", &model, /*start_powered=*/false,
                 {.queue_capacity = 256});
   disk.PowerOn();  // spun-down, platter stopped
   ASSERT_EQ(disk.state(), hw::DiskState::kSpunDown);
@@ -127,7 +127,7 @@ TEST(DiskStateArrayTest, MatchesRealDiskSpinUpCharge) {
 TEST(DiskStateArrayTest, QueuedBatchChainsBehindDrain) {
   const hw::DiskModel model(hw::DiskParams{}, hw::UsbBridgeInterface());
   sim::Simulator sim;
-  hw::Disk disk(&sim, "ref", model, true, {.queue_capacity = 256});
+  hw::Disk disk(&sim, "ref", &model, true, {.queue_capacity = 256});
   hw::DiskStateArray soa(&model, 1, 0);
   const hw::IoRequest shape{KiB(64), hw::IoDirection::kWrite,
                             hw::AccessPattern::kSequential};
@@ -182,7 +182,7 @@ TEST(DiskStateArrayTest, AdaptiveIdleTimeoutMatchesRealDisk) {
   const hw::DiskModel model(hw::DiskParams{}, hw::UsbBridgeInterface());
   const sim::Duration timeout = sim::Seconds(4);
   sim::Simulator sim;
-  hw::Disk disk(&sim, "ref", model, /*start_powered=*/false,
+  hw::Disk disk(&sim, "ref", &model, /*start_powered=*/false,
                 {.queue_capacity = 256});
   disk.PowerOn();
   disk.SetIdleSpinDown(timeout);

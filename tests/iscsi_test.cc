@@ -18,8 +18,7 @@ class IscsiTest : public ::testing::Test {
       : network_(&sim_, Rng(3)),
         host_endpoint_(&sim_, &network_, "host-0"),
         client_endpoint_(&sim_, &network_, "client-0"),
-        disk_(&sim_, "disk-0",
-              hw::DiskModel(hw::DiskParams{}, hw::UsbBridgeInterface())),
+        disk_(&sim_, "disk-0", &model_),
         target_(&sim_, &host_endpoint_,
                 [this](const std::string& name) -> hw::Disk* {
                   if (name == "disk-0" && disk_visible_) return &disk_;
@@ -45,6 +44,7 @@ class IscsiTest : public ::testing::Test {
   net::Network network_;
   net::RpcEndpoint host_endpoint_;
   net::RpcEndpoint client_endpoint_;
+  const hw::DiskModel model_{hw::DiskParams{}, hw::UsbBridgeInterface()};
   hw::Disk disk_;
   bool disk_visible_ = true;
   IscsiTarget target_;
