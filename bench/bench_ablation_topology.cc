@@ -19,11 +19,12 @@ using namespace ustore;
 double DuplexThroughput(const fabric::BuiltFabric& f) {
   const hw::DiskModel model(hw::DiskParams{}, hw::UsbBridgeInterface());
   std::vector<fabric::FlowDemand> demands;
-  for (std::size_t i = 0; i < f.disks.size(); ++i) {
+  const std::vector<fabric::NodeIndex>& disks = f.topology.Disks();
+  for (std::size_t i = 0; i < disks.size(); ++i) {
     hw::WorkloadSpec spec{MiB(4), i % 2 == 0 ? 1.0 : 0.0,
                           hw::AccessPattern::kSequential};
     demands.push_back(fabric::FlowDemand{
-        f.disks[i], model.Evaluate(spec).bytes_per_sec, spec.read_fraction,
+        disks[i], model.Evaluate(spec).bytes_per_sec, spec.read_fraction,
         spec.request_size});
   }
   auto result = fabric::SolveMaxMinFair(
@@ -37,8 +38,9 @@ void Report(const char* name,
   const fabric::FabricBom bom = fabric::CountBom(f);
   const auto coverage = baselines::AnalyzeSingleFaultCoverage(make);
   bench::PrintRow(
-      {name, std::to_string(f.disks.size()), std::to_string(f.hosts.size()),
-       std::to_string(bom.hubs), std::to_string(bom.switches),
+      {name, std::to_string(f.topology.Disks().size()),
+       std::to_string(f.hosts.size()), std::to_string(bom.hubs),
+       std::to_string(bom.switches),
        bench::Fmt(cost::FabricCost(bom), 0),
        std::to_string(coverage.fully_tolerated) + "/" +
            std::to_string(coverage.scenarios.size()),

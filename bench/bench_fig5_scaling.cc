@@ -22,8 +22,8 @@ double TotalMBps(int disks, const hw::WorkloadSpec& spec) {
   std::vector<fabric::FlowDemand> demands;
   for (int i = 0; i < disks; ++i) {
     demands.push_back(fabric::FlowDemand{
-        f.disks[i], model.Evaluate(spec).bytes_per_sec, spec.read_fraction,
-        spec.request_size});
+        f.topology.Disks()[i], model.Evaluate(spec).bytes_per_sec,
+        spec.read_fraction, spec.request_size});
   }
   auto result = fabric::SolveMaxMinFair(f, demands,
                                         hw::UsbHostControllerParams{},
@@ -80,7 +80,7 @@ int main() {
       hw::WorkloadSpec spec{MiB(4), i < 2 ? 1.0 : 0.0,
                             hw::AccessPattern::kSequential};
       demands.push_back(fabric::FlowDemand{
-          f.disks[i], model.Evaluate(spec).bytes_per_sec,
+          f.topology.Disks()[i], model.Evaluate(spec).bytes_per_sec,
           spec.read_fraction, spec.request_size});
     }
     auto result = fabric::SolveMaxMinFair(
@@ -91,11 +91,11 @@ int main() {
   {
     fabric::BuiltFabric f = fabric::BuildPrototypeFabric();
     std::vector<fabric::FlowDemand> demands;
-    for (std::size_t i = 0; i < f.disks.size(); ++i) {
+    for (std::size_t i = 0; i < f.topology.Disks().size(); ++i) {
       hw::WorkloadSpec spec{MiB(4), i % 2 == 0 ? 1.0 : 0.0,
                             hw::AccessPattern::kSequential};
       demands.push_back(fabric::FlowDemand{
-          f.disks[i], model.Evaluate(spec).bytes_per_sec,
+          f.topology.Disks()[i], model.Evaluate(spec).bytes_per_sec,
           spec.read_fraction, spec.request_size});
     }
     auto result = fabric::SolveMaxMinFair(

@@ -50,7 +50,8 @@ void BM_MaxMinFairSolver(benchmark::State& state) {
   std::vector<fabric::FlowDemand> demands;
   for (int i = 0; i < disks; ++i) {
     demands.push_back(fabric::FlowDemand{
-        f.disks[i], model.Evaluate(spec).bytes_per_sec, 1.0, KiB(4)});
+        f.topology.Disks()[i], model.Evaluate(spec).bytes_per_sec, 1.0,
+        KiB(4)});
   }
   fabric::BandwidthSolver solver(&f, hw::UsbHostControllerParams{},
                                  hw::UsbLinkParams{});
@@ -66,7 +67,7 @@ void BM_MaxMinFairSolverPrototype(benchmark::State& state) {
   const hw::DiskModel model(hw::DiskParams{}, hw::UsbBridgeInterface());
   hw::WorkloadSpec spec{KiB(64), 0.5, hw::AccessPattern::kSequential};
   std::vector<fabric::FlowDemand> demands;
-  for (fabric::NodeIndex disk : f.disks) {
+  for (fabric::NodeIndex disk : f.topology.Disks()) {
     demands.push_back(fabric::FlowDemand{
         disk, model.Evaluate(spec).bytes_per_sec, 0.5, KiB(64)});
   }
@@ -88,7 +89,8 @@ void BM_MaxMinFairSolverColdStart(benchmark::State& state) {
   std::vector<fabric::FlowDemand> demands;
   for (int i = 0; i < disks; ++i) {
     demands.push_back(fabric::FlowDemand{
-        f.disks[i], model.Evaluate(spec).bytes_per_sec, 1.0, KiB(4)});
+        f.topology.Disks()[i], model.Evaluate(spec).bytes_per_sec, 1.0,
+        KiB(4)});
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(fabric::SolveMaxMinFair(
@@ -104,15 +106,17 @@ void BM_MaxMinFairSolverSwitchChurn(benchmark::State& state) {
   const hw::DiskModel model(hw::DiskParams{}, hw::UsbBridgeInterface());
   hw::WorkloadSpec spec{KiB(64), 0.5, hw::AccessPattern::kSequential};
   std::vector<fabric::FlowDemand> demands;
-  for (fabric::NodeIndex disk : f.disks) {
+  for (fabric::NodeIndex disk : f.topology.Disks()) {
     demands.push_back(fabric::FlowDemand{
         disk, model.Evaluate(spec).bytes_per_sec, 0.5, KiB(64)});
   }
   fabric::BandwidthSolver solver(&f, hw::UsbHostControllerParams{},
                                  hw::UsbLinkParams{});
+  const fabric::NodeIndex sw =
+      f.topology.NodesOfKind(fabric::NodeKind::kSwitch)[0];
   bool select = false;
   for (auto _ : state) {
-    f.topology.SetSwitch(f.switches[0], select);
+    f.topology.SetSwitch(sw, select);
     select = !select;
     benchmark::DoNotOptimize(solver.Solve(demands));
   }
@@ -247,7 +251,7 @@ void BM_ActivePathResolution(benchmark::State& state) {
   // FabricManager attachment recompute do between fabric mutations.
   fabric::BuiltFabric f = fabric::BuildPrototypeFabric({.groups = 8});
   for (auto _ : state) {
-    for (fabric::NodeIndex disk : f.disks) {
+    for (fabric::NodeIndex disk : f.topology.Disks()) {
       benchmark::DoNotOptimize(f.topology.ActivePath(disk));
     }
   }
@@ -256,10 +260,10 @@ BENCHMARK(BM_ActivePathResolution);
 
 void BM_FabricRouteTo(benchmark::State& state) {
   fabric::BuiltFabric f = fabric::BuildPrototypeFabric({.groups = 8});
+  const fabric::NodeIndex port = f.topology.HostPorts()[2];
   for (auto _ : state) {
-    for (fabric::NodeIndex disk : f.disks) {
-      benchmark::DoNotOptimize(
-          f.topology.RouteTo(disk, f.host_ports[2]));
+    for (fabric::NodeIndex disk : f.topology.Disks()) {
+      benchmark::DoNotOptimize(f.topology.RouteTo(disk, port));
     }
   }
 }

@@ -15,7 +15,8 @@ int main() {
   core::Cluster cluster;
   cluster.Start();
   std::printf("cluster up: %d hosts, %zu disks, active master: %s\n",
-              cluster.host_count(), cluster.fabric().fabric().disks.size(),
+              cluster.host_count(),
+              cluster.fabric().topology().Disks().size(),
               cluster.active_master()->id().c_str());
 
   // 2. A client allocates 100 GiB for its service and mounts it.

@@ -31,7 +31,7 @@ FaultCoverage AnalyzeSingleFaultCoverage(
     const std::function<fabric::BuiltFabric()>& make) {
   FaultCoverage out;
   const fabric::BuiltFabric reference = make();
-  out.disks_total = static_cast<int>(reference.disks.size());
+  out.disks_total = static_cast<int>(reference.topology.Disks().size());
 
   auto run_scenario = [&](const std::string& name,
                           const std::function<void(fabric::BuiltFabric&)>&
@@ -40,7 +40,7 @@ FaultCoverage AnalyzeSingleFaultCoverage(
     inject(f);
     FaultScenario scenario;
     scenario.failed_component = name;
-    for (fabric::NodeIndex disk : f.disks) {
+    for (fabric::NodeIndex disk : f.topology.Disks()) {
       if (f.topology.ReachableHostPorts(disk).empty()) {
         ++scenario.disks_unreachable;
       }
@@ -61,7 +61,8 @@ FaultCoverage AnalyzeSingleFaultCoverage(
     });
   }
   // Hub failures: the hub plus its failure-unit switch.
-  for (fabric::NodeIndex hub : reference.hubs) {
+  for (fabric::NodeIndex hub :
+       reference.topology.NodesOfKind(fabric::NodeKind::kHub)) {
     const std::string name = reference.topology.node(hub).name;
     run_scenario(name, [hub](fabric::BuiltFabric& f) {
       for (fabric::NodeIndex member : f.topology.FailureUnitOf(hub)) {

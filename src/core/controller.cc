@@ -114,7 +114,7 @@ Result<std::vector<fabric::SwitchSetting>> Controller::SwitchesToTurn(
   // OccupiedSwitches: switches on the current paths of disks NOT in the
   // command (Algorithm 1 lines 4-8).
   std::set<fabric::NodeIndex> occupied;
-  for (fabric::NodeIndex disk : wiring_.disks) {
+  for (fabric::NodeIndex disk : topology.Disks()) {
     if (moving.contains(disk)) continue;
     for (fabric::NodeIndex node : topology.ActivePath(disk)) {
       if (topology.node(node).kind == fabric::NodeKind::kSwitch) {

@@ -88,7 +88,7 @@ void EndPoint::Start() {
   });
   // Default power policy (§IV-F).
   if (options_.idle_spin_down > 0) {
-    for (fabric::NodeIndex node : manager_->fabric().disks) {
+    for (fabric::NodeIndex node : manager_->topology().Disks()) {
       manager_->disk(node)->SetIdleSpinDown(options_.idle_spin_down);
     }
   }

@@ -47,7 +47,7 @@ Master::Master(sim::Simulator* sim, net::Network* network, net::NodeId id,
       monitor_timer_(sim) {
   meta_ = std::make_unique<consensus::MetaClient>(
       sim, network, endpoint_->id() + ":meta", std::move(meta_options));
-  disks_.resize(wiring_.disks.size());
+  disks_.resize(wiring_.topology.Disks().size());
   RegisterHandlers();
 }
 
@@ -62,7 +62,7 @@ int Master::FindDisk(const std::string& name) const {
 }
 
 const std::string& Master::DiskName(int disk) const {
-  return wiring_.topology.node(wiring_.disks[disk]).name;
+  return wiring_.topology.node(wiring_.topology.Disks()[disk]).name;
 }
 
 void Master::SetDiskHost(int disk, int host) {
@@ -390,9 +390,10 @@ void Master::HandleHostFailure(int failed_host) {
   // every stranded disk to (SysConf knows the wiring).
   auto reachable_by_all = [&](int host_index) {
     for (int disk : stranded) {
+      const fabric::NodeIndex node = wiring_.topology.Disks()[disk];
       bool reachable = false;
       for (fabric::NodeIndex port : wiring_.PortsOfHost(host_index)) {
-        if (wiring_.topology.RouteTo(wiring_.disks[disk], port).ok()) {
+        if (wiring_.topology.RouteTo(node, port).ok()) {
           reachable = true;
           break;
         }

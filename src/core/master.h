@@ -22,7 +22,7 @@
 // subscribed clients are notified.
 //
 // Hot-path scaling (fleet targets, DESIGN.md §8): a disk's handle is its
-// wiring ordinal (its index in SysConf's BuiltFabric::disks), and names
+// wiring ordinal (its index in SysConf's Topology::Disks()), and names
 // appear only at the edges (wire messages, SpaceIds, MetaStore paths,
 // logs). Two reverse indexes — disk->allocated spaces and host->attached
 // disks, plus a per-disk count of allocations by exposing host — keep

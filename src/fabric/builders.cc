@@ -10,13 +10,6 @@ std::string Name(const std::string& prefix, int i) {
   return prefix + std::to_string(i);
 }
 
-void FillIndexLists(BuiltFabric& f) {
-  f.disks = f.topology.Disks();
-  f.hubs = f.topology.NodesOfKind(NodeKind::kHub);
-  f.switches = f.topology.NodesOfKind(NodeKind::kSwitch);
-  f.host_ports = f.topology.HostPorts();
-}
-
 }  // namespace
 
 std::vector<NodeIndex> BuiltFabric::PortsOfHost(int h) const {
@@ -29,7 +22,7 @@ std::vector<NodeIndex> BuiltFabric::PortsOfHost(int h) const {
 
 std::vector<NodeIndex> BuiltFabric::DisksAttachedToHost(int h) const {
   std::vector<NodeIndex> out;
-  for (NodeIndex disk : disks) {
+  for (NodeIndex disk : topology.Disks()) {
     if (HostOfDisk(disk) == h) out.push_back(disk);
   }
   return out;
@@ -88,7 +81,6 @@ BuiltFabric BuildPrototypeFabric(const PrototypeOptions& options) {
     }
   }
 
-  FillIndexLists(f);
   return f;
 }
 
@@ -145,7 +137,6 @@ BuiltFabric BuildLeafSwitchedFabric(const LeafSwitchedOptions& options) {
     t.AddDisk(Name("disk-", d), sw);
   }
 
-  FillIndexLists(f);
   return f;
 }
 
@@ -168,16 +159,16 @@ BuiltFabric BuildSingleHostTree(const SingleHostTreeOptions& options) {
     }
   }
 
-  FillIndexLists(f);
   return f;
 }
 
 FabricBom CountBom(const BuiltFabric& fabric) {
+  const Topology& t = fabric.topology;
   FabricBom bom;
-  bom.hubs = static_cast<int>(fabric.hubs.size());
-  bom.switches = static_cast<int>(fabric.switches.size());
-  bom.bridges = static_cast<int>(fabric.disks.size());
-  bom.host_ports = static_cast<int>(fabric.host_ports.size());
+  bom.hubs = static_cast<int>(t.NodesOfKind(NodeKind::kHub).size());
+  bom.switches = static_cast<int>(t.NodesOfKind(NodeKind::kSwitch).size());
+  bom.bridges = static_cast<int>(t.Disks().size());
+  bom.host_ports = static_cast<int>(t.HostPorts().size());
   return bom;
 }
 

@@ -34,16 +34,12 @@ namespace ustore::fabric {
 
 inline constexpr int kDefaultHubFanIn = 4;  // UNITEK Y-3044 4-port hubs
 
-// A built fabric plus its naming/host metadata.
+// A built fabric plus its naming/host metadata. Per-kind node lists come
+// from the topology (Disks(), NodesOfKind(), HostPorts()).
 struct BuiltFabric {
   Topology topology;
   std::vector<std::string> hosts;          // host names, index = host id
   std::map<NodeIndex, int> host_of_port;   // host port node -> host id
-
-  std::vector<NodeIndex> disks;
-  std::vector<NodeIndex> hubs;
-  std::vector<NodeIndex> switches;
-  std::vector<NodeIndex> host_ports;
 
   // Convenience: host ports belonging to host `h`.
   std::vector<NodeIndex> PortsOfHost(int h) const;

@@ -15,8 +15,9 @@ FabricManager::FabricManager(sim::Simulator* sim, BuiltFabric fabric,
       options_(options),
       disk_model_(options_.disk_params, hw::UsbBridgeInterface()),
       rng_(rng),
-      bus_(static_cast<int>(fabric_.switches.size() + fabric_.disks.size() +
-                            fabric_.hubs.size())) {
+      // One control line per switch, disk and hub.
+      bus_(fabric_.topology.size() -
+           static_cast<int>(fabric_.topology.HostPorts().size())) {
   bus_.set_observer([this](int l, bool v) { OnLineChanged(l, v); });
   const int lines = bus_.line_count();
   mcus_.push_back(std::make_unique<hw::Microcontroller>("mcu-0", lines, &bus_));
@@ -25,7 +26,7 @@ FabricManager::FabricManager(sim::Simulator* sim, BuiltFabric fabric,
   if (!options_.disks_start_powered) {
     // Cold unit: the primary board asserts every disk's power-cut line
     // before anything else happens (rolling spin-up then releases them).
-    for (NodeIndex node : fabric_.disks) {
+    for (NodeIndex node : fabric_.topology.Disks()) {
       Status asserted =
           mcus_[0]->SetOutput(LineOf(node, NodeKind::kDisk), true);
       assert(asserted.ok());
@@ -38,8 +39,8 @@ FabricManager::FabricManager(sim::Simulator* sim, BuiltFabric fabric,
         sim_, fabric_.hosts[h], options_.host_params));
   }
 
-  disks_.reserve(fabric_.disks.size());
-  for (NodeIndex node : fabric_.disks) {
+  disks_.reserve(fabric_.topology.Disks().size());
+  for (NodeIndex node : fabric_.topology.Disks()) {
     disks_.push_back(std::make_unique<hw::Disk>(
         sim_, fabric_.topology.node(node).name, &disk_model_,
         options_.disks_start_powered));
@@ -66,10 +67,12 @@ hw::Disk* FabricManager::disk(NodeIndex node) {
 }
 
 int FabricManager::LineOf(NodeIndex node, NodeKind kind) const {
-  const int ordinal = fabric_.topology.OrdinalOf(node, kind);
+  const Topology& t = fabric_.topology;
+  const int ordinal = t.OrdinalOf(node, kind);
   if (ordinal < 0) return -1;
-  const int switches = static_cast<int>(fabric_.switches.size());
-  const int disks = static_cast<int>(fabric_.disks.size());
+  const int switches =
+      static_cast<int>(t.NodesOfKind(NodeKind::kSwitch).size());
+  const int disks = static_cast<int>(t.Disks().size());
   switch (kind) {
     case NodeKind::kSwitch: return ordinal;
     case NodeKind::kDisk: return switches + ordinal;
@@ -81,10 +84,10 @@ int FabricManager::LineOf(NodeIndex node, NodeKind kind) const {
 
 NodeIndex FabricManager::NodeOfLine(int line) const {
   auto l = static_cast<std::size_t>(line);
-  for (const std::vector<NodeIndex>* nodes :
-       {&fabric_.switches, &fabric_.disks, &fabric_.hubs}) {
-    if (l < nodes->size()) return (*nodes)[l];
-    l -= nodes->size();
+  for (NodeKind kind : {NodeKind::kSwitch, NodeKind::kDisk, NodeKind::kHub}) {
+    const std::vector<NodeIndex>& nodes = fabric_.topology.NodesOfKind(kind);
+    if (l < nodes.size()) return nodes[l];
+    l -= nodes.size();
   }
   return kInvalidNode;
 }
@@ -192,44 +195,43 @@ hw::UsbTreeEntry FabricManager::EntryFor(NodeIndex device,
 void FabricManager::RecomputeAttachments() {
   const Topology& t = fabric_.topology;
 
-  // Work over enumerable devices: hubs and disks.
-  std::vector<NodeIndex> devices = fabric_.hubs;
-  devices.insert(devices.end(), fabric_.disks.begin(), fabric_.disks.end());
-
-  for (NodeIndex device : devices) {
-    const NodeIndex port = t.AttachedHostPort(device);
-    int new_host = -1;
-    if (port != kInvalidNode) {
-      auto it = fabric_.host_of_port.find(port);
-      if (it != fabric_.host_of_port.end()) new_host = it->second;
-    }
-    if (new_host >= 0 && crashed_hosts_.contains(new_host)) {
-      new_host = -1;  // a dead host enumerates nothing
-    }
-
-    int& announced = announced_host_[static_cast<std::size_t>(device)];
-    const int old_host = announced;
-    if (old_host == new_host) continue;
-
-    if (old_host >= 0) {
-      stacks_[old_host]->OnDeviceDetached(t.node(device).name);
-      announced = -1;
-    }
-    if (new_host >= 0) {
-      const bool fresh_power_cycle = power_cycled_.erase(device) > 0;
-      if (!fresh_power_cycle && t.node(device).kind == NodeKind::kDisk &&
-          options_.attach_loss_probability > 0 &&
-          rng_.NextBool(options_.attach_loss_probability)) {
-        // §V-B: "sometimes disk switching is not detected reliably by the
-        // hosts, forcing us to power cycle the devices."
-        lost_attach_.insert(device);
-        USTORE_LOG(Warning) << t.node(device).name
-                            << ": attach event lost (flaky enumeration)";
-        continue;
+  // Work over enumerable devices: hubs, then disks.
+  for (NodeKind kind : {NodeKind::kHub, NodeKind::kDisk}) {
+    for (NodeIndex device : t.NodesOfKind(kind)) {
+      const NodeIndex port = t.AttachedHostPort(device);
+      int new_host = -1;
+      if (port != kInvalidNode) {
+        auto it = fabric_.host_of_port.find(port);
+        if (it != fabric_.host_of_port.end()) new_host = it->second;
       }
-      if (lost_attach_.contains(device)) continue;
-      stacks_[new_host]->OnDeviceAttached(EntryFor(device, port));
-      announced = new_host;
+      if (new_host >= 0 && crashed_hosts_.contains(new_host)) {
+        new_host = -1;  // a dead host enumerates nothing
+      }
+
+      int& announced = announced_host_[static_cast<std::size_t>(device)];
+      const int old_host = announced;
+      if (old_host == new_host) continue;
+
+      if (old_host >= 0) {
+        stacks_[old_host]->OnDeviceDetached(t.node(device).name);
+        announced = -1;
+      }
+      if (new_host >= 0) {
+        const bool fresh_power_cycle = power_cycled_.erase(device) > 0;
+        if (!fresh_power_cycle && kind == NodeKind::kDisk &&
+            options_.attach_loss_probability > 0 &&
+            rng_.NextBool(options_.attach_loss_probability)) {
+          // §V-B: "sometimes disk switching is not detected reliably by the
+          // hosts, forcing us to power cycle the devices."
+          lost_attach_.insert(device);
+          USTORE_LOG(Warning) << t.node(device).name
+                              << ": attach event lost (flaky enumeration)";
+          continue;
+        }
+        if (lost_attach_.contains(device)) continue;
+        stacks_[new_host]->OnDeviceAttached(EntryFor(device, port));
+        announced = new_host;
+      }
     }
   }
 }
@@ -293,7 +295,7 @@ Watts FabricManager::FabricPower() const {
   const Topology& t = fabric_.topology;
   const HubPowerModel hub_model;
   Watts total = 0;
-  for (NodeIndex hub : fabric_.hubs) {
+  for (NodeIndex hub : t.NodesOfKind(NodeKind::kHub)) {
     if (!t.powered(hub) || t.failed(hub)) continue;
     // Count powered active children (through switches).
     int active = 0;
@@ -309,7 +311,7 @@ Watts FabricManager::FabricPower() const {
     }
     total += HubPower(hub_model, active);
   }
-  for (NodeIndex sw : fabric_.switches) {
+  for (NodeIndex sw : t.NodesOfKind(NodeKind::kSwitch)) {
     if (t.powered(sw)) total += kSwitchPower;
   }
   return total;

@@ -32,7 +32,7 @@ FailureDomainMap EnumerateFailureDomains(const BuiltFabric& fabric) {
   // wiring hub (single-disk-on-port fabrics) each get a singleton domain
   // keyed on the disk itself.
   std::map<NodeIndex, std::vector<NodeIndex>> by_hub;
-  for (NodeIndex disk : fabric.disks) {
+  for (NodeIndex disk : fabric.topology.Disks()) {
     NodeIndex hub = WiringHubOf(fabric.topology, disk);
     by_hub[hub == kInvalidNode ? disk : hub].push_back(disk);
   }

@@ -34,7 +34,7 @@ struct Node {
   NodeIndex up_primary = kInvalidNode;    // all non-root nodes
   NodeIndex up_secondary = kInvalidNode;  // switches only
   // Rank among the nodes of this kind, in creation order: a disk's ordinal
-  // is its index in BuiltFabric::disks and its one in-process identity.
+  // is its index in Topology::Disks() and its one in-process identity.
   int ordinal = -1;
 };
 

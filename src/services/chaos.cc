@@ -128,17 +128,17 @@ std::string FaultOp::WindowKey() const {
 
 ChaosPlan GeneratePlan(core::Cluster& cluster, std::uint64_t seed,
                        const PlanOptions& options) {
-  const fabric::BuiltFabric& built = cluster.fabric().fabric();
+  const fabric::Topology& topology = cluster.fabric().topology();
   std::vector<std::string> disks;
-  for (fabric::NodeIndex n : built.disks) {
-    disks.push_back(built.topology.node(n).name);
+  for (fabric::NodeIndex n : topology.Disks()) {
+    disks.push_back(topology.node(n).name);
   }
   std::vector<std::string> units;
-  for (fabric::NodeIndex n : built.hubs) {
-    units.push_back(built.topology.node(n).name);
-  }
-  for (fabric::NodeIndex n : built.switches) {
-    units.push_back(built.topology.node(n).name);
+  for (fabric::NodeKind kind :
+       {fabric::NodeKind::kHub, fabric::NodeKind::kSwitch}) {
+    for (fabric::NodeIndex n : topology.NodesOfKind(kind)) {
+      units.push_back(topology.node(n).name);
+    }
   }
 
   std::vector<FaultKind> classes;
@@ -292,7 +292,7 @@ Status ChaosEngine::Prepare() {
 
   auto mounted = std::make_shared<int>(0);
   auto failed = std::make_shared<int>(0);
-  for (fabric::NodeIndex node : built.disks) {
+  for (fabric::NodeIndex node : built.topology.Disks()) {
     const std::string disk = built.topology.node(node).name;
     int host = built.HostOfDisk(node);
     if (host < 0) host = 0;

@@ -218,21 +218,21 @@ TEST_F(RobustnessTest, FlakyEnumerationHealedByPowerCycle) {
                                 options, Rng(99));
   sim.RunFor(sim::Seconds(10));
   // Some disks may be stuck unrecognized; power-cycle every stuck disk.
-  for (fabric::NodeIndex node : manager.fabric().disks) {
+  for (fabric::NodeIndex node : manager.topology().Disks()) {
     const std::string& name = manager.topology().node(node).name;
     if (manager.VisibleHostOfDisk(name) < 0) {
       ASSERT_TRUE(manager.DriveDiskPower(0, node, false).ok());
     }
   }
   sim.RunFor(sim::Seconds(2));
-  for (fabric::NodeIndex node : manager.fabric().disks) {
+  for (fabric::NodeIndex node : manager.topology().Disks()) {
     const std::string& name = manager.topology().node(node).name;
     if (manager.disk(name)->state() == hw::DiskState::kPoweredOff) {
       ASSERT_TRUE(manager.DriveDiskPower(0, node, true).ok());
     }
   }
   sim.RunFor(sim::Seconds(15));
-  for (fabric::NodeIndex node : manager.fabric().disks) {
+  for (fabric::NodeIndex node : manager.topology().Disks()) {
     const std::string& name = manager.topology().node(node).name;
     EXPECT_GE(manager.VisibleHostOfDisk(name), 0) << name;
   }

@@ -21,8 +21,9 @@ std::vector<FlowDemand> UniformDemands(const BuiltFabric& f, int n,
   const auto standalone = UsbDiskModel().Evaluate(spec);
   std::vector<FlowDemand> demands;
   for (int i = 0; i < n; ++i) {
-    demands.push_back(FlowDemand{f.disks[i], standalone.bytes_per_sec,
-                                 spec.read_fraction, spec.request_size});
+    demands.push_back(FlowDemand{f.topology.Disks()[i],
+                                 standalone.bytes_per_sec, spec.read_fraction,
+                                 spec.request_size});
   }
   return demands;
 }
@@ -106,7 +107,7 @@ TEST(BandwidthTest, DuplexDoublesThroughput) {
   std::vector<FlowDemand> demands;
   for (int i = 0; i < 4; ++i) {
     const auto& spec = i < 2 ? read_spec : write_spec;
-    demands.push_back(FlowDemand{f.disks[i],
+    demands.push_back(FlowDemand{f.topology.Disks()[i],
                                  UsbDiskModel().Evaluate(spec).bytes_per_sec,
                                  spec.read_fraction, spec.request_size});
   }
@@ -120,10 +121,11 @@ TEST(BandwidthTest, PrototypeFourHostsSustain2160) {
   // The headline number: 4 hosts x 540 MB/s duplex = 2160 MB/s.
   BuiltFabric f = BuildPrototypeFabric();
   std::vector<FlowDemand> demands;
-  for (std::size_t i = 0; i < f.disks.size(); ++i) {
+  const std::vector<NodeIndex>& disks = f.topology.Disks();
+  for (std::size_t i = 0; i < disks.size(); ++i) {
     hw::WorkloadSpec spec{MiB(4), i % 2 == 0 ? 1.0 : 0.0,
                           hw::AccessPattern::kSequential};
-    demands.push_back(FlowDemand{f.disks[i],
+    demands.push_back(FlowDemand{disks[i],
                                  UsbDiskModel().Evaluate(spec).bytes_per_sec,
                                  spec.read_fraction, spec.request_size});
   }
@@ -133,7 +135,7 @@ TEST(BandwidthTest, PrototypeFourHostsSustain2160) {
 
 TEST(BandwidthTest, DetachedDiskGetsZero) {
   BuiltFabric f = BuildSingleHostTree({.disks = 2});
-  f.topology.SetFailed(f.disks[1], true);
+  f.topology.SetFailed(f.topology.Disks()[1], true);
   hw::WorkloadSpec spec{MiB(4), 1.0, hw::AccessPattern::kSequential};
   auto result = Solve(f, UniformDemands(f, 2, spec));
   EXPECT_TRUE(result.flows[0].attached);

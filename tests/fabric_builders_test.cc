@@ -12,10 +12,11 @@ namespace {
 TEST(PrototypeFabricTest, StructureMatchesPaper) {
   BuiltFabric f = BuildPrototypeFabric();
   EXPECT_EQ(f.hosts.size(), 4u);
-  EXPECT_EQ(f.disks.size(), 16u);
-  EXPECT_EQ(f.hubs.size(), 8u);       // 4 leaf + 4 mid
-  EXPECT_EQ(f.switches.size(), 8u);   // 4 leaf-uplink + 4 mid-uplink
-  EXPECT_EQ(f.host_ports.size(), 8u); // p0 + p1 per host
+  const Topology& t = f.topology;
+  EXPECT_EQ(t.Disks().size(), 16u);
+  EXPECT_EQ(t.NodesOfKind(NodeKind::kHub).size(), 8u);     // 4 leaf + 4 mid
+  EXPECT_EQ(t.NodesOfKind(NodeKind::kSwitch).size(), 8u);  // 4 leaf + 4 mid
+  EXPECT_EQ(t.HostPorts().size(), 8u);                     // p0 + p1 per host
   EXPECT_TRUE(f.topology.Validate(kDefaultHubFanIn).ok());
 }
 
@@ -29,7 +30,7 @@ TEST(PrototypeFabricTest, DefaultRoutingIsBalanced) {
 TEST(PrototypeFabricTest, DiskPathHasTwoHubsTwoSwitches) {
   // §VII-A: "The disk goes through two hubs, two switches and a bridge."
   BuiltFabric f = BuildPrototypeFabric();
-  const auto path = f.topology.ActivePath(f.disks[0]);
+  const auto path = f.topology.ActivePath(f.topology.Disks()[0]);
   int hubs = 0, switches = 0;
   for (NodeIndex i : path) {
     if (f.topology.node(i).kind == NodeKind::kHub) ++hubs;
@@ -37,12 +38,12 @@ TEST(PrototypeFabricTest, DiskPathHasTwoHubsTwoSwitches) {
   }
   EXPECT_EQ(hubs, 2);
   EXPECT_EQ(switches, 2);
-  EXPECT_EQ(f.topology.TierOf(f.disks[0]), 2);
+  EXPECT_EQ(f.topology.TierOf(f.topology.Disks()[0]), 2);
 }
 
 TEST(PrototypeFabricTest, EveryDiskCanReachMultipleHosts) {
   BuiltFabric f = BuildPrototypeFabric();
-  for (NodeIndex disk : f.disks) {
+  for (NodeIndex disk : f.topology.Disks()) {
     std::set<int> hosts;
     for (NodeIndex port : f.topology.ReachableHostPorts(disk)) {
       hosts.insert(f.host_of_port.at(port));
@@ -60,7 +61,7 @@ TEST(PrototypeFabricTest, HostFailureLeavesAllDisksRoutable) {
     for (NodeIndex port : f.PortsOfHost(dead)) {
       f.topology.SetFailed(port, true);
     }
-    for (NodeIndex disk : f.disks) {
+    for (NodeIndex disk : f.topology.Disks()) {
       EXPECT_FALSE(f.topology.ReachableHostPorts(disk).empty())
           << "disk " << f.topology.node(disk).name << " with host " << dead
           << " down";
@@ -73,7 +74,7 @@ TEST(PrototypeFabricTest, MidHubFailureIsTolerated) {
   auto mid = f.topology.Find("midhub-0");
   ASSERT_TRUE(mid.ok());
   f.topology.SetFailed(*mid, true);
-  for (NodeIndex disk : f.disks) {
+  for (NodeIndex disk : f.topology.Disks()) {
     EXPECT_FALSE(f.topology.ReachableHostPorts(disk).empty());
   }
 }
@@ -85,7 +86,7 @@ TEST(PrototypeFabricTest, LeafHubFailureLosesOnlyItsDisks) {
   ASSERT_TRUE(leaf.ok());
   f.topology.SetFailed(*leaf, true);
   int unreachable = 0;
-  for (NodeIndex disk : f.disks) {
+  for (NodeIndex disk : f.topology.Disks()) {
     if (f.topology.ReachableHostPorts(disk).empty()) ++unreachable;
   }
   EXPECT_EQ(unreachable, 4);
@@ -116,7 +117,7 @@ TEST(PrototypeFabricTest, FailoverKeepsDeviceCountUnderQuirkLimit) {
 
 TEST(PrototypeFabricTest, ScalesToLargerGroups) {
   BuiltFabric f = BuildPrototypeFabric({.groups = 8, .disks_per_leaf = 4});
-  EXPECT_EQ(f.disks.size(), 32u);
+  EXPECT_EQ(f.topology.Disks().size(), 32u);
   EXPECT_EQ(f.hosts.size(), 8u);
   EXPECT_TRUE(f.topology.Validate(kDefaultHubFanIn).ok());
   for (int h = 0; h < 8; ++h) {
@@ -129,9 +130,10 @@ TEST(PrototypeFabricTest, ScalesToLargerGroups) {
 TEST(LeafSwitchedFabricTest, Structure) {
   BuiltFabric f = BuildLeafSwitchedFabric({.disks = 16});
   EXPECT_EQ(f.hosts.size(), 2u);
-  EXPECT_EQ(f.disks.size(), 16u);
-  EXPECT_EQ(f.switches.size(), 16u);  // one per disk
-  EXPECT_EQ(f.hubs.size(), 10u);      // (4 leaf + 1 root) per tree
+  const Topology& t = f.topology;
+  EXPECT_EQ(t.Disks().size(), 16u);
+  EXPECT_EQ(t.NodesOfKind(NodeKind::kSwitch).size(), 16u);  // one per disk
+  EXPECT_EQ(t.NodesOfKind(NodeKind::kHub).size(), 10u);    // 5 per tree
   EXPECT_TRUE(f.topology.Validate(kDefaultHubFanIn).ok());
 }
 
@@ -144,10 +146,10 @@ TEST(LeafSwitchedFabricTest, AnySingleHubFailureTolerated) {
   // The paper's claim for the left design: "can tolerate not only failures
   // of a single host, but also any single failure of the hubs."
   BuiltFabric base = BuildLeafSwitchedFabric({.disks = 16});
-  for (NodeIndex hub : base.hubs) {
+  for (NodeIndex hub : base.topology.NodesOfKind(NodeKind::kHub)) {
     BuiltFabric f = BuildLeafSwitchedFabric({.disks = 16});
     f.topology.SetFailed(hub, true);
-    for (NodeIndex disk : f.disks) {
+    for (NodeIndex disk : f.topology.Disks()) {
       EXPECT_FALSE(f.topology.ReachableHostPorts(disk).empty())
           << "hub " << f.topology.node(hub).name;
     }
@@ -166,7 +168,7 @@ TEST(LeafSwitchedFabricTest, IndividualDiskSwitching) {
 
 TEST(LeafSwitchedFabricTest, OddDiskCounts) {
   BuiltFabric f = BuildLeafSwitchedFabric({.disks = 7});
-  EXPECT_EQ(f.disks.size(), 7u);
+  EXPECT_EQ(f.topology.Disks().size(), 7u);
   EXPECT_TRUE(f.topology.Validate(kDefaultHubFanIn).ok());
   EXPECT_EQ(f.DisksAttachedToHost(0).size(), 7u);
 }
@@ -175,20 +177,21 @@ TEST(LeafSwitchedFabricTest, OddDiskCounts) {
 
 TEST(SingleHostTreeTest, TwelveDisksStayWithinDeviceLimit) {
   BuiltFabric f = BuildSingleHostTree({.disks = 12});
-  EXPECT_EQ(f.hubs.size(), 3u);
-  EXPECT_EQ(f.disks.size() + f.hubs.size(), 15u);  // the §V-B boundary
+  const std::size_t hubs = f.topology.NodesOfKind(NodeKind::kHub).size();
+  EXPECT_EQ(hubs, 3u);
+  EXPECT_EQ(f.topology.Disks().size() + hubs, 15u);  // the §V-B boundary
   EXPECT_TRUE(f.topology.Validate(kDefaultHubFanIn).ok());
   EXPECT_EQ(f.DisksAttachedToHost(0).size(), 12u);
 }
 
 TEST(SingleHostTreeTest, NoSwitchesNoFaultTolerance) {
   BuiltFabric f = BuildSingleHostTree({.disks = 8});
-  EXPECT_TRUE(f.switches.empty());
+  EXPECT_TRUE(f.topology.NodesOfKind(NodeKind::kSwitch).empty());
   auto hub = f.topology.Find("hub-0");
   ASSERT_TRUE(hub.ok());
   f.topology.SetFailed(*hub, true);
   int unreachable = 0;
-  for (NodeIndex disk : f.disks) {
+  for (NodeIndex disk : f.topology.Disks()) {
     if (f.topology.ReachableHostPorts(disk).empty()) ++unreachable;
   }
   EXPECT_EQ(unreachable, 4);
@@ -209,10 +212,7 @@ TEST(NodeOrdinalTest, OrdinalIndexesTheKindListForEveryBuilder) {
     for (NodeIndex i = 0; i < f.topology.size(); ++i) {
       const Node& node = f.topology.node(i);
       const std::vector<NodeIndex>& of_kind =
-          node.kind == NodeKind::kDisk     ? f.disks
-          : node.kind == NodeKind::kHub    ? f.hubs
-          : node.kind == NodeKind::kSwitch ? f.switches
-                                           : f.host_ports;
+          f.topology.NodesOfKind(node.kind);
       ASSERT_GE(node.ordinal, 0) << node.name;
       ASSERT_LT(node.ordinal, static_cast<int>(of_kind.size())) << node.name;
       EXPECT_EQ(of_kind[static_cast<std::size_t>(node.ordinal)], i)

@@ -207,7 +207,7 @@ TEST_F(FabricManagerTest, FabricPowerDropsWhenHubsPoweredOff) {
 // wiring disk, and any other node or name has no disk.
 TEST_F(FabricManagerTest, DiskByNameAndByNodeAgree) {
   const Topology& t = manager_.topology();
-  for (NodeIndex node : manager_.fabric().disks) {
+  for (NodeIndex node : t.Disks()) {
     hw::Disk* by_node = manager_.disk(node);
     ASSERT_NE(by_node, nullptr) << t.node(node).name;
     EXPECT_EQ(by_node->name(), t.node(node).name);
@@ -234,7 +234,7 @@ TEST_F(FabricManagerTest, EveryDiskBorrowsTheOneModel) {
   options.disk_params.power_idle = 5.5;
   FabricManager manager(&sim_, BuildPrototypeFabric(), options, Rng(7));
   const hw::DiskModel& model = manager.disk_model();
-  for (NodeIndex node : manager.fabric().disks) {
+  for (NodeIndex node : manager.topology().Disks()) {
     ASSERT_NE(manager.disk(node), nullptr) << node;
     EXPECT_EQ(&manager.disk(node)->model(), &model) << node;
   }
@@ -249,11 +249,13 @@ TEST_F(FabricManagerTest, EveryDiskBorrowsTheOneModel) {
 // Control lines run switches, then disk relays, then hub relays, each in
 // ordinal order.
 TEST_F(FabricManagerTest, ControlLinesFollowKindThenOrdinal) {
-  const BuiltFabric& f = manager_.fabric();
-  const int switches = static_cast<int>(f.switches.size());
-  const int disks = static_cast<int>(f.disks.size());
+  const Topology& t = manager_.topology();
+  const std::vector<NodeIndex>& switch_nodes = t.NodesOfKind(NodeKind::kSwitch);
+  const std::vector<NodeIndex>& hub_nodes = t.NodesOfKind(NodeKind::kHub);
+  const int switches = static_cast<int>(switch_nodes.size());
+  const int disks = static_cast<int>(t.Disks().size());
   ASSERT_EQ(manager_.bus().line_count(),
-            switches + disks + static_cast<int>(f.hubs.size()));
+            switches + disks + static_cast<int>(hub_nodes.size()));
   auto only_high_line = [this] {
     int high = -1;
     for (int line = 0; line < manager_.bus().line_count(); ++line) {
@@ -263,14 +265,14 @@ TEST_F(FabricManagerTest, ControlLinesFollowKindThenOrdinal) {
     }
     return high;
   };
-  const NodeIndex sw = f.switches[3];
+  const NodeIndex sw = switch_nodes[3];
   ASSERT_TRUE(manager_.DriveSwitch(0, sw, true).ok());
   EXPECT_EQ(only_high_line(), 3);
   ASSERT_TRUE(manager_.DriveSwitch(0, sw, false).ok());
-  ASSERT_TRUE(manager_.DriveDiskPower(0, f.disks[5], false).ok());
+  ASSERT_TRUE(manager_.DriveDiskPower(0, t.Disks()[5], false).ok());
   EXPECT_EQ(only_high_line(), switches + 5);
-  ASSERT_TRUE(manager_.DriveDiskPower(0, f.disks[5], true).ok());
-  ASSERT_TRUE(manager_.DriveHubPower(0, f.hubs[2], false).ok());
+  ASSERT_TRUE(manager_.DriveDiskPower(0, t.Disks()[5], true).ok());
+  ASSERT_TRUE(manager_.DriveHubPower(0, hub_nodes[2], false).ok());
   EXPECT_EQ(only_high_line(), switches + disks + 2);
 }
 

@@ -23,7 +23,7 @@ TEST_P(PrototypeShapeTest, ValidatesAtEveryScale) {
   const int groups = GetParam();
   BuiltFabric f = BuildPrototypeFabric({.groups = groups});
   EXPECT_TRUE(f.topology.Validate(kDefaultHubFanIn).ok());
-  EXPECT_EQ(f.disks.size(), static_cast<std::size_t>(groups * 4));
+  EXPECT_EQ(f.topology.Disks().size(), static_cast<std::size_t>(groups * 4));
 }
 
 TEST_P(PrototypeShapeTest, EveryDiskAttachedExactlyOnceInAnyConfig) {
@@ -34,10 +34,10 @@ TEST_P(PrototypeShapeTest, EveryDiskAttachedExactlyOnceInAnyConfig) {
   Rng rng(groups * 7919);
   for (int trial = 0; trial < 20; ++trial) {
     BuiltFabric f = BuildPrototypeFabric({.groups = groups});
-    for (NodeIndex sw : f.switches) {
+    for (NodeIndex sw : f.topology.NodesOfKind(NodeKind::kSwitch)) {
       f.topology.SetSwitch(sw, rng.NextBool(0.5));
     }
-    for (NodeIndex disk : f.disks) {
+    for (NodeIndex disk : f.topology.Disks()) {
       // AttachedHostPort is deterministic per config — call twice.
       EXPECT_EQ(f.topology.AttachedHostPort(disk),
                 f.topology.AttachedHostPort(disk));
@@ -47,11 +47,11 @@ TEST_P(PrototypeShapeTest, EveryDiskAttachedExactlyOnceInAnyConfig) {
     // tree-ness: each node has at most one active parent by construction,
     // so any reached host port set sizes sum consistently.
     std::set<NodeIndex> reached;
-    for (NodeIndex disk : f.disks) {
+    for (NodeIndex disk : f.topology.Disks()) {
       const NodeIndex port = f.topology.AttachedHostPort(disk);
       if (port != kInvalidNode) reached.insert(port);
     }
-    EXPECT_LE(reached.size(), f.host_ports.size());
+    EXPECT_LE(reached.size(), f.topology.HostPorts().size());
   }
 }
 
@@ -62,7 +62,7 @@ TEST_P(PrototypeShapeTest, HostFailureToleratedAtEveryScale) {
     for (NodeIndex port : f.PortsOfHost(dead)) {
       f.topology.SetFailed(port, true);
     }
-    for (NodeIndex disk : f.disks) {
+    for (NodeIndex disk : f.topology.Disks()) {
       EXPECT_FALSE(f.topology.ReachableHostPorts(disk).empty())
           << "groups=" << groups << " dead host=" << dead;
     }
@@ -80,7 +80,7 @@ TEST_P(PrototypeShapeTest, GroupMoveIsAlwaysConflictFreeToNeighbour) {
     auto swl = f.topology.Find("swl-" + std::to_string(g));
     ASSERT_TRUE(swl.ok());
     f.topology.SetSwitch(*swl, true);
-    for (NodeIndex disk : f.disks) {
+    for (NodeIndex disk : f.topology.Disks()) {
       const int host = f.HostOfDisk(disk);
       const int disk_index = disk;  // not meaningful; use name
       (void)disk_index;
@@ -108,7 +108,7 @@ TEST_P(LeafSwitchedShapeTest, ValidatesAndBalances) {
   BuiltFabric f = BuildLeafSwitchedFabric({.disks = disks});
   EXPECT_TRUE(f.topology.Validate(kDefaultHubFanIn).ok());
   // Every disk independently reaches both hosts.
-  for (NodeIndex disk : f.disks) {
+  for (NodeIndex disk : f.topology.Disks()) {
     EXPECT_EQ(f.topology.ReachableHostPorts(disk).size(), 2u);
   }
   // Arbitrary subsets can be split across hosts.
@@ -130,7 +130,7 @@ TEST_P(LeafSwitchedShapeTest, ValidatesAndBalances) {
 TEST_P(LeafSwitchedShapeTest, TierDepthWithinUsbLimit) {
   const int disks = GetParam();
   BuiltFabric f = BuildLeafSwitchedFabric({.disks = disks});
-  for (NodeIndex disk : f.disks) {
+  for (NodeIndex disk : f.topology.Disks()) {
     EXPECT_LE(f.topology.TierOf(disk), 5) << "USB tier limit";
   }
 }
@@ -156,7 +156,7 @@ TEST_P(BandwidthCapTest, AllocationNeverViolatesAnyCap) {
   hw::WorkloadSpec spec{c.request_size, c.read_fraction, c.pattern};
   std::vector<FlowDemand> demands;
   for (int i = 0; i < c.disks; ++i) {
-    demands.push_back(FlowDemand{f.disks[i],
+    demands.push_back(FlowDemand{f.topology.Disks()[i],
                                  model.Evaluate(spec).bytes_per_sec,
                                  c.read_fraction, c.request_size});
   }
@@ -206,7 +206,7 @@ TEST(BandwidthMonotonicityTest, MoreDisksNeverLessTotal) {
       BuiltFabric f = BuildSingleHostTree({.disks = n});
       std::vector<FlowDemand> demands;
       for (int i = 0; i < n; ++i) {
-        demands.push_back(FlowDemand{f.disks[i],
+        demands.push_back(FlowDemand{f.topology.Disks()[i],
                                      model.Evaluate(spec).bytes_per_sec, rf,
                                      MiB(4)});
       }

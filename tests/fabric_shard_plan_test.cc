@@ -21,13 +21,13 @@ TEST(ShardPlanTest, PartitionsPrototypeFabricByRootSubtree) {
   EXPECT_GT(plan.lookahead, 0);
 
   // Every attached disk belongs to a group and a shard.
-  for (const fabric::NodeIndex disk : built.disks) {
+  for (const fabric::NodeIndex disk : built.topology.Disks()) {
     EXPECT_GE(plan.GroupOf(disk), 0) << built.topology.node(disk).name;
     EXPECT_GE(plan.ShardOf(disk), 0);
     EXPECT_LT(plan.ShardOf(disk), plan.shards);
   }
   // Host ports belong to no group.
-  for (const fabric::NodeIndex port : built.host_ports) {
+  for (const fabric::NodeIndex port : built.topology.HostPorts()) {
     EXPECT_EQ(plan.GroupOf(port), -1);
   }
   // A node shares its group with its subtree root.
@@ -46,16 +46,17 @@ TEST(ShardPlanTest, PartitionsPrototypeFabricByRootSubtree) {
 TEST(ShardPlanTest, DetachedSubtreeGetsNoGroup) {
   fabric::BuiltFabric built = fabric::BuildSingleHostTree({.disks = 8});
   // Fail one root hub: its disks dangle and must be unassigned.
-  const fabric::NodeIndex hub = built.hubs.front();
+  const fabric::NodeIndex hub =
+      built.topology.NodesOfKind(fabric::NodeKind::kHub).front();
   built.topology.SetFailed(hub, true);
   const fabric::ShardPlan plan =
       fabric::BuildShardPlan(built.topology, {.shards = 2});
   int unassigned = 0;
-  for (const fabric::NodeIndex disk : built.disks) {
+  for (const fabric::NodeIndex disk : built.topology.Disks()) {
     if (plan.GroupOf(disk) < 0) ++unassigned;
   }
   EXPECT_GT(unassigned, 0);
-  EXPECT_LT(unassigned, static_cast<int>(built.disks.size()));
+  EXPECT_LT(unassigned, static_cast<int>(built.topology.Disks().size()));
 }
 
 TEST(ShardPlanTest, ShardCountClampsToGroups) {
@@ -74,7 +75,7 @@ TEST(ShardPlanTest, SingleRootFabricCollapsesToOneGroup) {
       fabric::BuildShardPlan(built.topology, {.shards = 4});
   EXPECT_EQ(plan.groups(), 1);
   EXPECT_EQ(plan.shards, 1);
-  for (const fabric::NodeIndex disk : built.disks) {
+  for (const fabric::NodeIndex disk : built.topology.Disks()) {
     EXPECT_EQ(plan.GroupOf(disk), 0);
     EXPECT_EQ(plan.ShardOf(disk), 0);
   }

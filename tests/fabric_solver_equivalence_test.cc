@@ -54,7 +54,7 @@ void ExpectPathCacheMatchesWalk(const Topology& topology) {
 std::vector<FlowDemand> RandomDemands(const BuiltFabric& f, Rng& rng) {
   static constexpr Bytes kSizes[] = {KiB(4), KiB(64), MiB(1)};
   std::vector<FlowDemand> demands;
-  for (NodeIndex disk : f.disks) {
+  for (NodeIndex disk : f.topology.Disks()) {
     if (rng.NextBool(0.15)) continue;  // some disks idle
     FlowDemand d;
     d.disk = disk;
@@ -158,7 +158,8 @@ TEST(SolverEquivalenceTest, RepeatedSolvesWithoutMutationDoNotRebuild) {
   EXPECT_EQ(solver.solve_count(), 21u);
   EXPECT_EQ(solver.rebuild_count(), 1u);  // demand values alone never rebuild
 
-  f.topology.SetSwitch(f.switches[0], !f.topology.selected(f.switches[0]));
+  const NodeIndex sw = f.topology.NodesOfKind(NodeKind::kSwitch)[0];
+  f.topology.SetSwitch(sw, !f.topology.selected(sw));
   solver.Solve(demands);
   EXPECT_EQ(solver.rebuild_count(), 2u);  // topology mutation rebuilds once
   solver.Solve(demands);

@@ -336,7 +336,7 @@ TEST(FailureDomains, PrototypeWiringGroupsByLeafHub) {
       EXPECT_TRUE(seen.insert(name).second) << name << " in two domains";
     }
   }
-  EXPECT_EQ(seen.size(), fabric.disks.size());
+  EXPECT_EQ(seen.size(), fabric.topology.Disks().size());
 }
 
 }  // namespace

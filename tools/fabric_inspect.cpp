@@ -36,7 +36,7 @@ void PrintTree(const fabric::BuiltFabric& f) {
           recurse(child, depth + 1);
         }
       };
-  for (fabric::NodeIndex port : f.host_ports) {
+  for (fabric::NodeIndex port : f.topology.HostPorts()) {
     recurse(port, 0);
   }
 }
@@ -72,9 +72,10 @@ int main(int argc, char** argv) {
   }
 
   fabric::BuiltFabric f = make();
+  const std::vector<fabric::NodeIndex>& disk_nodes = f.topology.Disks();
   Status valid = f.topology.Validate(fabric::kDefaultHubFanIn);
   std::printf("design: %s | disks: %zu | hosts: %zu | valid: %s\n",
-              design.c_str(), f.disks.size(), f.hosts.size(),
+              design.c_str(), disk_nodes.size(), f.hosts.size(),
               valid.ToString().c_str());
 
   const fabric::FabricBom bom = fabric::CountBom(f);
@@ -84,12 +85,12 @@ int main(int argc, char** argv) {
               cost::FabricCost(bom));
 
   std::printf("\nReachability:\n");
-  for (fabric::NodeIndex disk : f.disks) {
+  for (fabric::NodeIndex disk : disk_nodes) {
     const auto ports = f.topology.ReachableHostPorts(disk);
     std::printf("  %-10s -> %zu host port(s)\n",
                 f.topology.node(disk).name.c_str(), ports.size());
-    if (f.disks.size() > 16 && disk == f.disks[15]) {
-      std::printf("  ... (%zu more)\n", f.disks.size() - 16);
+    if (disk_nodes.size() > 16 && disk == disk_nodes[15]) {
+      std::printf("  ... (%zu more)\n", disk_nodes.size() - 16);
       break;
     }
   }
@@ -101,6 +102,6 @@ int main(int argc, char** argv) {
       coverage.fully_tolerated, coverage.scenarios.size(),
       coverage.worst_case_lost, coverage.disks_total);
 
-  if (f.disks.size() <= 32) PrintTree(f);
+  if (disk_nodes.size() <= 32) PrintTree(f);
   return valid.ok() ? 0 : 1;
 }
