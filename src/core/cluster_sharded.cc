@@ -948,8 +948,7 @@ ShardedClusterReport ShardedCluster::BuildReport() {
   report.control_trace_digest = obs::TraceDigest(control_trace_);
   parts.push_back(control_metrics_.Snapshot());
   report.merged = obs::MergeSnapshots(parts);
-  // The snapshots move into the report rather than being copied: the
-  // control one holds a gauge per disk.
+  // The snapshots move into the report rather than being copied.
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     report.per_group[g].metrics = std::move(parts[g]);
   }

@@ -57,15 +57,6 @@ Disk::Disk(sim::Simulator* sim, std::string name, const DiskModel* model,
       idle_timer_(sim) {
   if (queue_options_.queue_capacity == 0) queue_options_.queue_capacity = 1;
   if (queue_options_.max_batch == 0) queue_options_.max_batch = 1;
-  obs::Metrics().SetGauge("disk." + name_ + ".state",
-                          static_cast<double>(state_));
-}
-
-void Disk::EnterState(DiskState next) {
-  if (next == state_) return;
-  state_ = next;
-  obs::Metrics().SetGauge("disk." + name_ + ".state",
-                          static_cast<double>(next));
 }
 
 void Disk::RingPush(Pending pending) {
@@ -188,7 +179,7 @@ void Disk::MaybeStartNext() {
 
   draining_ = true;
   failed_at_ = -1;
-  EnterState(DiskState::kActive);
+  state_ = DiskState::kActive;
 
   // NCQ-style admission. A serial request drains alone — one simulator
   // event per request, which is the timing baseline batched submission must
@@ -304,7 +295,7 @@ void Disk::FinishDrain() {
   if (ring_count_ > 0) {
     MaybeStartNext();
   } else {
-    EnterState(DiskState::kIdle);
+    state_ = DiskState::kIdle;
     ArmIdleTimer();
   }
 }
@@ -379,7 +370,7 @@ void Disk::SpinUp(obs::TraceContext ctx) {
   obs::Metrics().Increment("disk.spin_up.count");
   spin_span_ = obs::Tracer().Begin(trace_component_, "spin_up", ctx);
 
-  EnterState(DiskState::kSpinningUp);
+  state_ = DiskState::kSpinningUp;
   spin_timer_.StartOneShot(model_->disk().spin_up_time,
                            [this] { FinishSpinUp(); });
 }
@@ -391,7 +382,7 @@ void Disk::FinishSpinUp() {
   // Charge the spin-up wait to the next drained window's first request
   // (phase attribution; see MaybeStartNext).
   pending_window_spin_ = sim_->now() - spin_started_at_;
-  EnterState(DiskState::kIdle);
+  state_ = DiskState::kIdle;
   if (ring_count_ == 0 && !draining_) {
     // No one was waiting: the spin-up belongs to no request.
     pending_window_spin_ = 0;
@@ -405,14 +396,14 @@ void Disk::SpinDown() {
   if (state_ != DiskState::kIdle) return;  // never interrupt active I/O
   idle_timer_.Stop();
   obs::Metrics().Increment("disk.spin_down.count");
-  EnterState(DiskState::kSpunDown);
+  state_ = DiskState::kSpunDown;
 }
 
 void Disk::PowerOn() {
   if (state_ != DiskState::kPoweredOff) return;
   // Power-on leaves the platter stopped; spin-up is a separate (heavier)
   // step so the Controller can do rolling spin-up (§III-B).
-  EnterState(DiskState::kSpunDown);
+  state_ = DiskState::kSpunDown;
 }
 
 void Disk::PowerOff() {
@@ -425,7 +416,7 @@ void Disk::PowerOff() {
   // The in-flight window (if any) resolves at its scheduled drain event;
   // members past this instant fail there with "lost power mid-io".
   if (draining_ && failed_at_ < 0) failed_at_ = sim_->now();
-  EnterState(DiskState::kPoweredOff);
+  state_ = DiskState::kPoweredOff;
   FailAll(UnavailableError(name_ + ": powered off"));
 }
 
@@ -437,14 +428,14 @@ void Disk::Fail() {
   obs::Tracer().EndWith(spin_span_, {{"outcome", "failed"}});
   spin_span_ = obs::kInvalidSpan;
   // Cut short, the platter stops where Repair() expects it.
-  if (state_ == DiskState::kSpinningUp) EnterState(DiskState::kSpunDown);
+  if (state_ == DiskState::kSpinningUp) state_ = DiskState::kSpunDown;
   if (draining_ && failed_at_ < 0) failed_at_ = sim_->now();
   FailAll(UnavailableError(name_ + ": disk failed"));
 }
 
 void Disk::Repair() {
   failed_ = false;
-  if (state_ != DiskState::kPoweredOff) EnterState(DiskState::kSpunDown);
+  if (state_ != DiskState::kPoweredOff) state_ = DiskState::kSpunDown;
 }
 
 void Disk::FailAll(const Status& status) {

@@ -191,9 +191,6 @@ class Disk {
   // Routes a finished request to its serial callback or its batch slot
   // (firing the batch callback when the last member lands).
   void Deliver(Pending& pending, IoCompletion completion);
-  // All state transitions funnel through here so the spin-state gauge and
-  // transition counters stay consistent with `state_`.
-  void EnterState(DiskState next);
 
   sim::Simulator* sim_;
   std::string name_;

@@ -165,23 +165,6 @@ double StateQuantile(const MetricsSnapshot::HistogramState& h, double q) {
   return h.max;
 }
 
-// Finds or default-inserts `name` in `map` during a walk over one part's
-// names, which arrive in the map's own key order. Each lookup is hinted
-// just past the previous name's entry, so a name that lands there — the
-// usual case — costs a comparison or two instead of a string-keyed descent
-// from the root; a name further on falls back to the ordinary search.
-template <typename Map>
-typename Map::iterator FindOrInsertFrom(Map& map,
-                                        typename Map::iterator* hint,
-                                        const std::string& name,
-                                        bool* inserted = nullptr) {
-  const std::size_t size = map.size();
-  const auto it = map.try_emplace(*hint, name);
-  if (inserted != nullptr) *inserted = map.size() != size;
-  *hint = std::next(it);
-  return it;
-}
-
 // The stamp a part's gauge competes with: its newest sample's, 0 for an
 // empty trail. The maximum, not the last sample: a merged part's trail
 // concatenates its own parts' trails, so it is not in time order.
@@ -206,16 +189,13 @@ MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& parts) {
   std::map<std::string, StampedGauge> gauges;
   for (const MetricsSnapshot& part : parts) {
     merged.at = std::max(merged.at, part.at);
-    auto counter_hint = merged.counters.begin();
     for (const auto& [name, value] : part.counters) {
-      FindOrInsertFrom(merged.counters, &counter_hint, name)->second += value;
+      merged.counters[name] += value;
     }
-    auto gauge_hint = gauges.begin();
     for (const auto& [name, gauge] : part.gauges) {
       const sim::Time newest = NewestStamp(gauge.samples);
-      bool inserted = false;
-      StampedGauge& into =
-          FindOrInsertFrom(gauges, &gauge_hint, name, &inserted)->second;
+      auto [it, inserted] = gauges.try_emplace(name);
+      StampedGauge& into = it->second;
       if (inserted || newest > into.newest) {
         into.state.value = gauge.value;
         into.newest = newest;
@@ -223,17 +203,10 @@ MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& parts) {
       into.state.samples.insert(into.state.samples.end(),
                                 gauge.samples.begin(), gauge.samples.end());
     }
-    auto histogram_hint = merged.histograms.begin();
     for (const auto& [name, histogram] : part.histograms) {
-      bool inserted = false;
-      MetricsSnapshot::HistogramState& into =
-          FindOrInsertFrom(merged.histograms, &histogram_hint, name,
-                           &inserted)
-              ->second;
-      if (inserted) {
-        into = histogram;
-        continue;
-      }
+      auto [it, inserted] = merged.histograms.try_emplace(name, histogram);
+      if (inserted) continue;
+      MetricsSnapshot::HistogramState& into = it->second;
       if (histogram.count == 0) continue;
       if (into.count == 0) {
         into.min = histogram.min;

@@ -4,7 +4,7 @@
 //
 //   * Counter   — monotonically increasing uint64 (ops, RPCs, elections);
 //   * Gauge     — last-value double plus a bounded ring of (sim-time, value)
-//                 samples, so state machines (disk spin state, power draw)
+//                 samples, so levels (unit power draw, attached flows)
 //                 leave an inspectable trail;
 //   * Histogram — fixed upper-bound buckets with count/sum/min/max and
 //                 linear-interpolation quantile estimation (service times,
@@ -143,10 +143,7 @@ struct MetricsSnapshot {
 // and the sample trails concatenate in part order, so a merged trail need
 // not be in time order. `at` is the max across parts. The result is a pure
 // function of the parts vector, so merging per-group registries in group
-// order yields bit-identical output at any shard count. Each part's names
-// are walked in order with a forward-moving insertion hint, so a name that
-// lands next to its predecessor's entry costs a comparison or two rather
-// than a lookup from the root.
+// order yields bit-identical output at any shard count.
 MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& parts);
 
 class MetricsRegistry {

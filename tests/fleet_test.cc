@@ -91,7 +91,7 @@ TEST(ShardedFleetTest, FourUnitDigestIsPinned) {
   const ShardedFleetReport fleet = RunShardedFleet(options);
   ASSERT_EQ(fleet.units.size(), 4u);
   EXPECT_EQ(fleet.total_events, 1152u);
-  EXPECT_EQ(fleet.Digest(), 0xfb270d357bd7fd7cULL);
+  EXPECT_EQ(fleet.Digest(), 0x2813705a540b52a6ULL);
 }
 
 TEST(ShardedFleetTest, UnitsAreIndependentAndMergedInOrder) {

@@ -18,7 +18,10 @@
 
 #include "core/cluster.h"
 #include "core/master_shard.h"
+#include "fabric/topology.h"
 #include "gtest/gtest.h"
+#include "sim/sharded.h"
+#include "sim/simulator.h"
 #include "sim/time.h"
 
 namespace ustore {
@@ -281,7 +284,7 @@ TEST(ShardedMasterDeterminismTest, KiloDiskChaosDigestIsPinned) {
   EXPECT_GT(report.lease_revokes, 0u);
   EXPECT_TRUE(report.master_index_ok);
   EXPECT_EQ(report.events_processed, 7038u);
-  EXPECT_EQ(report.Digest(), 0xb89d597c1ef36592ULL);
+  EXPECT_EQ(report.Digest(), 0xece84b906fe778ccULL);
 }
 
 TEST(ShardedMasterTest, LeasesMoveMetaDecisionsOffThePump) {
@@ -464,6 +467,49 @@ TEST(ShardedClusterTest, FaultFreeRunKeepsEveryDiskOnTheSoaPath) {
     EXPECT_EQ(grp.fallback_submits, 0u);
     EXPECT_EQ(grp.faults_requested, 0u);
     EXPECT_EQ(grp.bursts, grp.range_bursts);
+  }
+}
+
+// Per-disk state lives in the SoA and the Master, not in the metrics: no
+// metric name in any snapshot of the report names a disk, even after chaos
+// has driven the real hw::Disk objects through fault toggles and
+// fallback I/O.
+TEST(ShardedClusterTest, NoMetricNameNamesADisk) {
+  const core::ShardedClusterOptions options = ShardedMasterOptions(7, true);
+  core::ShardedCluster unit(options);
+  sim::Simulator sim;
+  sim::SingleQueueEngine engine(&sim, unit.plan().shards,
+                                unit.plan().lookahead);
+  const core::ShardedClusterReport report = unit.Run(engine);
+  std::uint64_t acks = 0;
+  for (const core::ShardedClusterGroupReport& grp : report.per_group) {
+    acks += grp.fault_acks;
+  }
+  ASSERT_GT(acks, 0u);  // the pump toggled real disks
+
+  const fabric::Topology& topology = unit.cluster().fabric().topology();
+  std::vector<const obs::MetricsSnapshot*> snapshots = {
+      &report.control_metrics, &report.merged};
+  for (const core::ShardedClusterGroupReport& grp : report.per_group) {
+    snapshots.push_back(&grp.metrics);
+  }
+  auto expect_no_disk = [&](const std::string& metric) {
+    for (const fabric::NodeIndex disk : topology.Disks()) {
+      const std::string& name = topology.node(disk).name;
+      EXPECT_EQ(metric.find(name), std::string::npos)
+          << metric << " names " << name;
+    }
+  };
+  for (const obs::MetricsSnapshot* snapshot : snapshots) {
+    for (const auto& [metric, value] : snapshot->counters) {
+      expect_no_disk(metric);
+    }
+    for (const auto& [metric, gauge] : snapshot->gauges) {
+      expect_no_disk(metric);
+    }
+    for (const auto& [metric, histogram] : snapshot->histograms) {
+      expect_no_disk(metric);
+    }
   }
 }
 
