@@ -33,11 +33,13 @@ class PowerSequencer {
                  int mcu_index, PowerSequencerOptions options = {});
 
   // Powers on every fabric disk (relay + platter spin-up), rolling through
-  // them in waves of `max_concurrent_spinups`. `done` fires when all disks
-  // are spinning. Observed peak power is tracked for verification.
+  // them in waves of `max_concurrent_spinups`, each wave one spin-up time
+  // of the unit's disks plus `settle` after the last. `done` fires when all
+  // disks are spinning. Observed peak power is tracked for verification.
   void PowerOnAll(std::function<void(Status)> done);
 
-  // The naive alternative for comparison: all relays at once.
+  // The naive alternative for comparison: all relays at once; `done` fires
+  // one spin-up time plus `settle` later.
   void PowerOnAllAtOnce(std::function<void(Status)> done);
 
   // Highest instantaneous disk+bridge power observed during the sequence.
