@@ -15,104 +15,6 @@ constexpr std::uint64_t kCorruptionMask = 0x8000000000000001ULL;
 
 }  // namespace
 
-// --- RebuildAgent ----------------------------------------------------------------
-
-RebuildAgent::RebuildAgent(sim::Simulator* sim,
-                           core::ClientLib::Volume* source,
-                           core::ClientLib::Volume* target, Bytes block_size)
-    : sim_(sim), source_(source), target_(target), block_size_(block_size) {
-  assert(source_ != nullptr && target_ != nullptr && block_size_ > 0);
-}
-
-void RebuildAgent::Rebuild(int blocks,
-                           std::function<void(RebuildReport)> done) {
-  RebuildFrom(0, blocks, std::move(done));
-}
-
-void RebuildAgent::RebuildFrom(int first_block, int blocks,
-                               std::function<void(RebuildReport)> done) {
-  auto report = std::make_shared<RebuildReport>();
-  CopyNext(first_block, blocks, report, std::move(done), sim_->now());
-}
-
-void RebuildAgent::Finish(int next_index, RebuildReport* report,
-                          sim::Time started) {
-  report->resume_from = next_index;
-  report->elapsed = sim_->now() - started;
-  if (report->elapsed > 0 && report->blocks_copied > 0) {
-    report->throughput_valid = true;
-    report->throughput_mbps = static_cast<double>(report->blocks_copied) *
-                              static_cast<double>(block_size_) /
-                              sim::ToSeconds(report->elapsed) / 1e6;
-  }
-}
-
-void RebuildAgent::CopyNext(int index, int blocks,
-                            std::shared_ptr<RebuildReport> report,
-                            std::function<void(RebuildReport)> done,
-                            sim::Time started) {
-  if (index >= blocks) {
-    report->status = Status::Ok();
-    Finish(index, report.get(), started);
-    done(*report);
-    return;
-  }
-  const Bytes offset = static_cast<Bytes>(index) * block_size_;
-  source_->Read(
-      offset, block_size_, /*random=*/false,
-      [this, index, blocks, offset, report, done = std::move(done),
-       started](Result<std::uint64_t> tag) mutable {
-        if (!tag.ok()) {
-          report->status = tag.status();
-          Finish(index, report.get(), started);
-          done(*report);
-          return;
-        }
-        const std::uint64_t expected = *tag;
-        const std::uint64_t written =
-            corrupt_blocks_.count(index) != 0 ? expected ^ kCorruptionMask
-                                              : expected;
-        target_->Write(
-            offset, block_size_, /*random=*/false, written,
-            [this, index, blocks, offset, report, done = std::move(done),
-             started, expected](Status status) mutable {
-              if (!status.ok()) {
-                report->status = status;
-                Finish(index, report.get(), started);
-                done(*report);
-                return;
-              }
-              // The verify leg: read the block back off the target and
-              // compare with what the source held. A mismatch is detected
-              // corruption — distinct status, counted, and the block is
-              // NOT progress (resume_from points at it).
-              target_->Read(
-                  offset, block_size_, /*random=*/false,
-                  [this, index, blocks, report, done = std::move(done),
-                   started, expected](Result<std::uint64_t> readback) mutable {
-                    if (!readback.ok()) {
-                      report->status = readback.status();
-                      Finish(index, report.get(), started);
-                      done(*report);
-                      return;
-                    }
-                    if (*readback != expected) {
-                      ++report->tag_mismatches;
-                      report->status = DataLossError(
-                          "rebuild verify: block " + std::to_string(index) +
-                          " read back a different tag than the source");
-                      Finish(index, report.get(), started);
-                      done(*report);
-                      return;
-                    }
-                    ++report->blocks_copied;
-                    CopyNext(index + 1, blocks, report, std::move(done),
-                             started);
-                  });
-            });
-      });
-}
-
 // --- RebuildEngine ---------------------------------------------------------------
 
 struct RebuildEngine::StripeJob {

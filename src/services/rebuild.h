@@ -4,32 +4,21 @@
 //    can be switched to one or a small set of servers in order to reduce
 //    network load."
 //
-// Two rebuild executors share this header:
+// RebuildEngine is the declustered executor for erasure-coded stripes
+// (services/redundancy.h). It takes a RebuildPlan, keeps several stripe
+// reconstructions in flight, fans each stripe's k chunk reads out over the
+// surviving disks, throttles admission against the spin-group power budget
+// (a cold unit may only spin a fraction of its disks), decodes by
+// generator-tag agreement (disagreement is a detected RS syndrome mismatch
+// -> kDataLoss), writes the spare chunk and verifies it by read-back. A
+// read that fails mid-rebuild (chaos disk loss) fails over to an unused
+// surviving chunk of the same stripe; when the stripe runs out of survivors
+// the engine drains and reports the failure with exact partial progress
+// (resume_from), so an interrupted rebuild is resumable, never restarted.
+// A whole-disk replica copy is the degenerate RS(1+1) stripe.
 //
-//   * RebuildAgent — the original one-block-in-flight replica copier
-//     (queue depth 1, like a conservative scrubber). Kept as the serial
-//     baseline bench_rebuild compares against, with its bugs fixed: the
-//     written tag is now verified by a read-back leg (mismatch -> distinct
-//     kDataLoss status + a mismatch count in the report), zero-elapsed
-//     reports are explicit instead of silently claiming 0 MB/s, and a
-//     mid-copy failure reports partial progress plus the block index to
-//     resume from (RebuildFrom).
-//
-//   * RebuildEngine — the declustered executor for erasure-coded stripes
-//     (services/redundancy.h). It takes a RebuildPlan, keeps several
-//     stripe reconstructions in flight, fans each stripe's k chunk reads
-//     out over the surviving disks, throttles admission against the
-//     spin-group power budget (a cold unit may only spin a fraction of its
-//     disks), decodes by generator-tag agreement (disagreement is a
-//     detected RS syndrome mismatch -> kDataLoss), writes the spare chunk
-//     and verifies it by read-back. A read that fails mid-rebuild (chaos
-//     disk loss) fails over to an unused surviving chunk of the same
-//     stripe; when the stripe runs out of survivors the engine drains and
-//     reports the failure with exact partial progress (resume_from), so an
-//     interrupted rebuild is resumable, never restarted.
-//
-// Both report structs are pure functions of (options, volumes, fault
-// schedule), so reports are bit-identical across runs, chaos on or off.
+// The report is a pure function of (options, volumes, fault schedule), so
+// reports are bit-identical across runs, chaos on or off.
 #pragma once
 
 #include <cstdint>
@@ -45,54 +34,6 @@
 #include "sim/simulator.h"
 
 namespace ustore::services {
-
-struct RebuildReport {
-  Status status;
-  int blocks_copied = 0;    // durably on the target (read-back verified)
-  int tag_mismatches = 0;   // read-back disagreed with the source tag
-  // First block index NOT yet durably copied — pass to RebuildFrom to
-  // resume after a mid-copy failure (equals `blocks` on success).
-  int resume_from = 0;
-  sim::Duration elapsed = 0;
-  // True iff elapsed > 0: a zero-elapsed report (nothing to copy) is
-  // explicit instead of an indistinguishable 0 MB/s. Progress lives in
-  // blocks_copied either way.
-  bool throughput_valid = false;
-  double throughput_mbps = 0;
-};
-
-class RebuildAgent {
- public:
-  // `source` and `target` must be mounted volumes of equal-or-larger
-  // target capacity. The agent issues one read+write+verify pipeline of
-  // `block_size` transfers (queue depth 1).
-  RebuildAgent(sim::Simulator* sim, core::ClientLib::Volume* source,
-               core::ClientLib::Volume* target, Bytes block_size = MiB(4));
-
-  void Rebuild(int blocks, std::function<void(RebuildReport)> done);
-  // Resume a partial copy: blocks [first_block, blocks) remain.
-  void RebuildFrom(int first_block, int blocks,
-                   std::function<void(RebuildReport)> done);
-
-  // Test seam: corrupt the tag written for block `index` (the simulated
-  // disks never corrupt on their own), so the read-back verify trips.
-  void CorruptWriteForTest(int index) { corrupt_blocks_.insert(index); }
-
- private:
-  void CopyNext(int index, int blocks,
-                std::shared_ptr<RebuildReport> report,
-                std::function<void(RebuildReport)> done,
-                sim::Time started);
-  void Finish(int next_index, RebuildReport* report, sim::Time started);
-
-  sim::Simulator* sim_;
-  core::ClientLib::Volume* source_;
-  core::ClientLib::Volume* target_;
-  Bytes block_size_;
-  std::set<int> corrupt_blocks_;
-};
-
-// --- Declustered engine ---------------------------------------------------------
 
 struct RebuildEngineOptions {
   Bytes chunk_size = MiB(4);
@@ -120,8 +61,11 @@ struct RebuildEngineReport {
   // First plan-op index NOT fully rebuilt: pass to ExecuteFrom to resume.
   int resume_from = 0;
   sim::Duration elapsed = 0;
-  bool throughput_valid = false;  // see RebuildReport
-  double throughput_mbps = 0;     // reconstructed (spare) data rate
+  // True iff elapsed > 0: a zero-elapsed report (nothing to rebuild) is
+  // explicit instead of an indistinguishable 0 MB/s. Progress lives in
+  // stripes_rebuilt either way.
+  bool throughput_valid = false;
+  double throughput_mbps = 0;  // reconstructed (spare) data rate
 };
 
 class RebuildEngine {
