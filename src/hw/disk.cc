@@ -228,8 +228,7 @@ void Disk::MaybeStartNext() {
     std::size_t j = i + 1;
     while (j < run && SameShape(inflight_[j].pending.request, request)) ++j;
     if (j > i + 1) {
-      const sim::Duration steady = model_->SteadyStateServiceTime(
-          request, static_cast<std::uint64_t>(j - i - 1));
+      const sim::Duration steady = model_->SteadyStateServiceTime(request);
       const sim::Time base = inflight_[i].completes_at;
       const double steady_us = sim::ToMicros(steady);
       for (std::size_t k = i + 1; k < j; ++k) {

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "obs/metrics.h"
-
 namespace ustore::hw {
 
 InterfaceParams SataInterface() {
@@ -84,14 +82,12 @@ sim::Duration DiskModel::ServiceTime(const IoRequest& request,
   }
   if (request.direction != previous_direction) {
     t += DirectionSwitchPenalty(request.pattern, request.size);
-    obs::Metrics().Increment("disk.model.direction_switches");
   }
-  obs::Metrics().Increment("disk.model.service_time_calls");
   return t;
 }
 
 sim::Duration DiskModel::SteadyStateServiceTime(
-    const IoRequest& request, std::uint64_t stream_count) const {
+    const IoRequest& request) const {
   assert(request.size > 0);
   // Same arithmetic as ServiceTime() with previous_direction ==
   // request.direction, so the returned duration is bit-identical to what
@@ -101,7 +97,6 @@ sim::Duration DiskModel::SteadyStateServiceTime(
   if (request.pattern == AccessPattern::kRandom) {
     t += Positioning(request.direction, request.size);
   }
-  obs::Metrics().Increment("disk.model.service_time_calls", stream_count);
   return t;
 }
 

@@ -22,8 +22,6 @@
 // is why the paper measures USB slightly ahead of SATA for 4MB random I/O.
 #pragma once
 
-#include <cstdint>
-
 #include "common/units.h"
 #include "sim/time.h"
 
@@ -107,7 +105,10 @@ struct InterfaceParams {
 InterfaceParams SataInterface();
 InterfaceParams UsbBridgeInterface();
 
-// Closed-form and per-request evaluation of the calibrated model.
+// Closed-form and per-request evaluation of the calibrated model. Every
+// evaluation is a pure function of its arguments and records nothing, so
+// callers may hoist, share or repeat calls freely (hw::DiskStateArray
+// evaluates once per range, hw::Disk once per request run).
 class DiskModel {
  public:
   DiskModel(DiskParams disk, InterfaceParams iface)
@@ -123,13 +124,10 @@ class DiskModel {
 
   // Steady-state per-request service time for a homogeneous stream: the
   // exact value ServiceTime() returns when the previous request had the
-  // same direction (no switch penalty), computed once for a run of
-  // `stream_count` identical requests. The model-evaluation counters are
-  // advanced by the full run length, so a closed-form batch drain leaves
-  // the same metric trail as stepping request-by-request. For a pure
-  // read/write WorkloadSpec, Evaluate().iops == 1e9 / SteadyStateServiceTime.
-  sim::Duration SteadyStateServiceTime(const IoRequest& request,
-                                       std::uint64_t stream_count) const;
+  // same direction (no switch penalty), computed once for a whole run of
+  // identical requests. For a pure read/write WorkloadSpec,
+  // Evaluate().iops == 1e9 / SteadyStateServiceTime.
+  sim::Duration SteadyStateServiceTime(const IoRequest& request) const;
 
   // Steady-state rates for a single-worker queue-depth-1 stream.
   struct Throughput {

@@ -73,7 +73,7 @@ DiskStateArray::BatchOutcome DiskStateArray::SubmitBatch(
   out.first_service = model_->ServiceTime(shape, last_direction_[disk]);
   out.first_completion = start + out.first_service;
   if (ops > 1) {
-    out.steady_service = model_->SteadyStateServiceTime(shape, ops - 1);
+    out.steady_service = model_->SteadyStateServiceTime(shape);
     out.last_completion =
         out.first_completion +
         static_cast<sim::Duration>(ops - 1) * out.steady_service;
@@ -111,13 +111,12 @@ DiskStateArray::RangeOutcome DiskStateArray::SubmitBatchRange(
   // the previous direction (two variants) and the spin/queue state, so the
   // whole range needs at most three DiskModel calls. Service times are
   // pure in (shape, prev_dir), which keeps every per-disk schedule
-  // bit-exact with a SubmitBatch loop; only the model's obs counters
-  // advance per variant instead of per disk (header contract).
+  // bit-exact with a SubmitBatch loop.
   const sim::Duration svc_prev[2] = {
       model_->ServiceTime(shape, IoDirection::kRead),
       model_->ServiceTime(shape, IoDirection::kWrite)};
   const sim::Duration steady =
-      ops > 1 ? model_->SteadyStateServiceTime(shape, ops - 1) : 0;
+      ops > 1 ? model_->SteadyStateServiceTime(shape) : 0;
   const sim::Duration spin = model_->disk().spin_up_time;
   const sim::Duration tail =
       static_cast<sim::Duration>(ops - 1) * steady;

@@ -358,7 +358,7 @@ TEST(DataPlaneFastForward, SteadyStateMatchesWorkloadSpecMath) {
 
   // SteadyStateServiceTime is definitionally the switch-free ServiceTime,
   // and the closed-form WorkloadSpec throughput is its reciprocal.
-  const sim::Duration steady = model.SteadyStateServiceTime(req, 0);
+  const sim::Duration steady = model.SteadyStateServiceTime(req);
   EXPECT_EQ(steady, model.ServiceTime(req, IoDirection::kWrite));
   const auto throughput = model.Evaluate(
       hw::WorkloadSpec{MiB(1), 0.0, AccessPattern::kSequential});

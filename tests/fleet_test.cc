@@ -91,7 +91,7 @@ TEST(ShardedFleetTest, FourUnitDigestIsPinned) {
   const ShardedFleetReport fleet = RunShardedFleet(options);
   ASSERT_EQ(fleet.units.size(), 4u);
   EXPECT_EQ(fleet.total_events, 1152u);
-  EXPECT_EQ(fleet.Digest(), 0x2813705a540b52a6ULL);
+  EXPECT_EQ(fleet.Digest(), 0xba76957b9c264924ULL);
 }
 
 TEST(ShardedFleetTest, UnitsAreIndependentAndMergedInOrder) {

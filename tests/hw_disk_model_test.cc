@@ -6,6 +6,8 @@
 #include <string>
 
 #include "hw/disk_model.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace ustore::hw {
 namespace {
@@ -159,6 +161,24 @@ TEST(DiskModelTest, MixPenaltyPeaksAtHalf) {
   EXPECT_LT(iops(0.5), interpolated);
   // And read fraction sweep has no discontinuities at the edges.
   EXPECT_NEAR(iops(0.999), iops(1.0), iops(1.0) * 0.05);
+}
+
+TEST(DiskModelTest, EvaluationRecordsNoMetrics) {
+  // The model is pure: callers hoist and share evaluations (the SoA range
+  // path evaluates once per range), so no call may leave a trail.
+  obs::MetricsRegistry metrics;
+  obs::TraceBuffer trace;
+  obs::ScopedObsBinding bind(&metrics, &trace);
+  DiskModel model = MakeModel("usb");
+  const IoRequest req{KiB(64), IoDirection::kWrite, AccessPattern::kRandom};
+  EXPECT_GT(model.ServiceTime(req, IoDirection::kRead), 0);
+  EXPECT_GT(model.ServiceTime(req, IoDirection::kWrite), 0);
+  EXPECT_GT(model.SteadyStateServiceTime(req), 0);
+  EXPECT_GT(model.Evaluate({KiB(64), 0.5, AccessPattern::kRandom}).iops, 0);
+  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+  EXPECT_TRUE(snapshot.counters.empty());
+  EXPECT_TRUE(snapshot.gauges.empty());
+  EXPECT_TRUE(snapshot.histograms.empty());
 }
 
 TEST(DiskModelTest, BytesPerSecMatchesIopsTimesSize) {
