@@ -32,7 +32,9 @@
 //     EndPoint::SteadyStateEligible rejects) leaves the SoA fast path;
 //     its I/O is posted to the pump, which drives the full hw::Disk
 //     object — callbacks, failure paths, tracing — and posts completions
-//     back. Repair + eligibility ack returns it to the array.
+//     back. Repair + eligibility ack returns it to the array. The SoA
+//     members of a burst range that holds fallback disks still sweep one
+//     SubmitBatchRange per maximal run between them.
 //
 // The report is a pure function of (options, seed): the determinism fuzz
 // in tests/sharded_cluster_test.cc asserts bit-identical ToJson()/Digest()
