@@ -20,12 +20,17 @@ std::string_view StatusCodeName(StatusCode code) {
   return "UNKNOWN";
 }
 
+const std::string& Status::EmptyMessage() {
+  static const std::string empty;
+  return empty;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string out(StatusCodeName(code_));
-  if (!message_.empty()) {
+  if (message_ != nullptr) {
     out += ": ";
-    out += message_;
+    out += *message_;
   }
   return out;
 }

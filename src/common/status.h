@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cassert>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -34,18 +35,26 @@ enum class StatusCode {
 
 std::string_view StatusCodeName(StatusCode code);
 
-// A success-or-error value. Cheap to copy on success (no allocation).
+// A success-or-error value. Copying one never allocates: an error keeps
+// its message in one immutable string that every copy shares (a rejected
+// batch hands the same Status to each of its members), and an empty
+// message is no string at all.
 class [[nodiscard]] Status {
  public:
   Status() = default;  // OK
   Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+      : code_(code),
+        message_(message.empty() ? nullptr
+                                 : std::make_shared<const std::string>(
+                                       std::move(message))) {}
 
   static Status Ok() { return Status(); }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  const std::string& message() const {
+    return message_ != nullptr ? *message_ : EmptyMessage();
+  }
 
   std::string ToString() const;
 
@@ -54,8 +63,10 @@ class [[nodiscard]] Status {
   }
 
  private:
+  static const std::string& EmptyMessage();
+
   StatusCode code_ = StatusCode::kOk;
-  std::string message_;
+  std::shared_ptr<const std::string> message_;  // null when empty
 };
 
 inline std::ostream& operator<<(std::ostream& os, const Status& s) {

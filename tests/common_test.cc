@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/hash.h"
@@ -27,6 +29,39 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
   EXPECT_EQ(s.message(), "disk d3");
   EXPECT_EQ(s.ToString(), "NOT_FOUND: disk d3");
+}
+
+TEST(StatusTest, CopyKeepsCodeAndSharesMessage) {
+  const Status original = UnavailableError("disk-7: disk failed");
+  const Status copy = original;
+  EXPECT_EQ(copy.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(copy.message(), "disk-7: disk failed");
+  EXPECT_EQ(copy.ToString(), original.ToString());
+  // One message string, shared: copying an error does not duplicate it.
+  EXPECT_EQ(&copy.message(), &original.message());
+}
+
+TEST(StatusTest, CopiedMessageOutlivesTheOriginal) {
+  auto original = std::make_unique<Status>(DataLossError("chunk 3 corrupt"));
+  std::vector<Status> copies(4, *original);
+  const std::string& message = copies[2].message();
+  original.reset();
+  EXPECT_EQ(message, "chunk 3 corrupt");
+  for (const Status& copy : copies) {
+    EXPECT_EQ(copy.code(), StatusCode::kDataLoss);
+    EXPECT_EQ(copy.message(), "chunk 3 corrupt");
+  }
+}
+
+TEST(StatusTest, EmptyMessageReadsEmpty) {
+  EXPECT_EQ(Status().message(), "");
+  EXPECT_EQ(Status::Ok().message(), "");
+  const Status error = InternalError("");
+  EXPECT_FALSE(error.ok());
+  EXPECT_EQ(error.message(), "");
+  EXPECT_EQ(error.ToString(), "INTERNAL");
+  const Status copy = error;
+  EXPECT_EQ(copy.message(), "");
 }
 
 TEST(StatusTest, AllErrorConstructorsProduceDistinctCodes) {
