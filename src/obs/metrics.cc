@@ -80,21 +80,27 @@ std::vector<double> CountBuckets() {
 
 MetricsRegistry::MetricsRegistry() = default;
 
-Counter& MetricsRegistry::GetCounter(const std::string& name) {
-  return counters_[name];
+// The maps compare transparently, so a lookup reads the name as a view;
+// a key string is built only when the name is new.
+Counter& MetricsRegistry::GetCounter(std::string_view name) {
+  auto it = counters_.find(name);
+  if (it == counters_.end()) it = counters_.emplace(name, Counter()).first;
+  return it->second;
 }
 
-Gauge& MetricsRegistry::GetGauge(const std::string& name) {
-  return gauges_[name];
+Gauge& MetricsRegistry::GetGauge(std::string_view name) {
+  auto it = gauges_.find(name);
+  if (it == gauges_.end()) it = gauges_.emplace(name, Gauge()).first;
+  return it->second;
 }
 
-Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
+Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
   auto it = histograms_.find(name);
   if (it != histograms_.end()) return *it->second;
   return GetHistogram(name, LatencyBucketsUs());
 }
 
-Histogram& MetricsRegistry::GetHistogram(const std::string& name,
+Histogram& MetricsRegistry::GetHistogram(std::string_view name,
                                          std::vector<double> bounds) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {

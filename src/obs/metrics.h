@@ -31,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.h"
@@ -153,26 +154,26 @@ class MetricsRegistry {
   MetricsRegistry();
 
   // Get-or-create by name. Histogram bounds are fixed at first creation;
-  // later callers get the existing instance regardless of `bounds`. The
+  // later callers get the existing instance regardless of `bounds`. Names
+  // are looked up as views and copied into a key only on a miss, and the
   // bounds-less overload only materializes the default LatencyBucketsUs()
   // vector on a miss, so steady-state lookups never heap-allocate.
-  Counter& GetCounter(const std::string& name);
-  Gauge& GetGauge(const std::string& name);
-  Histogram& GetHistogram(const std::string& name);
-  Histogram& GetHistogram(const std::string& name,
-                          std::vector<double> bounds);
+  Counter& GetCounter(std::string_view name);
+  Gauge& GetGauge(std::string_view name);
+  Histogram& GetHistogram(std::string_view name);
+  Histogram& GetHistogram(std::string_view name, std::vector<double> bounds);
 
   // Convenience mirroring the common instrumentation one-liners.
-  void Increment(const std::string& name, std::uint64_t by = 1) {
+  void Increment(std::string_view name, std::uint64_t by = 1) {
     GetCounter(name).Increment(by);
   }
-  void SetGauge(const std::string& name, double value) {
+  void SetGauge(std::string_view name, double value) {
     GetGauge(name).Set(value, now());
   }
-  void Observe(const std::string& name, double value) {
+  void Observe(std::string_view name, double value) {
     GetHistogram(name).Record(value);
   }
-  void Observe(const std::string& name, double value,
+  void Observe(std::string_view name, double value,
                std::vector<double> bounds) {
     GetHistogram(name, std::move(bounds)).Record(value);
   }
@@ -197,9 +198,9 @@ class MetricsRegistry {
  private:
   TimeSource time_source_;
   std::uint64_t generation_ = 1;
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, Gauge, std::less<>> gauges_;
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 // The registry every instrumentation point on this thread writes to: the
