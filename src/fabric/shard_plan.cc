@@ -42,9 +42,6 @@ ShardPlan BuildShardPlan(const Topology& topology,
     plan.group_shard[g] = static_cast<int>(
         (static_cast<long long>(g) * plan.shards) / std::max(groups, 1));
   }
-  // The meta lease for a group lives on the shard that runs the group's
-  // events, so lease-local decisions never cross a shard boundary.
-  plan.group_lease_shard = plan.group_shard;
   return plan;
 }
 

@@ -45,17 +45,11 @@ struct ShardPlan {
   sim::Duration lookahead = 0;
   // group -> root node of the subtree (deterministic: node-index order).
   std::vector<NodeIndex> group_root;
-  // group -> shard; contiguous balanced assignment.
+  // group -> shard; contiguous balanced assignment. The group's meta lease
+  // (DESIGN.md §15) lives on this shard too, so every lease-local decision
+  // is shard-local; adding shards moves contiguous runs of groups, never
+  // which lease owns which disks.
   std::vector<int> group_shard;
-  // group -> shard holding the group's *meta lease* (DESIGN.md §15): the
-  // core::MasterShard answering this group's heartbeats, allocation
-  // lookups and steady-state directives locally. Co-located with the
-  // group's own events so every lease-local decision is shard-local, and
-  // keyed on the group (not the shard), so the lease partition — like the
-  // group structure itself — is identical at every shard count and stays
-  // stable under scale-out: adding shards moves contiguous runs of
-  // groups, never reshuffles which lease owns which disks.
-  std::vector<int> group_lease_shard;
   // topology node -> group; -1 for host ports and unattached nodes.
   std::vector<int> node_group;
 
@@ -69,11 +63,6 @@ struct ShardPlan {
   int ShardOf(NodeIndex node) const {
     const int group = GroupOf(node);
     return group < 0 ? -1 : group_shard[group];
-  }
-  int LeaseShardOf(int group) const {
-    return group >= 0 && group < static_cast<int>(group_lease_shard.size())
-               ? group_lease_shard[group]
-               : -1;
   }
 };
 
