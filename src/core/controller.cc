@@ -79,11 +79,6 @@ void Controller::RegisterHandlers() {
       });
 }
 
-int Controller::HostOfPort(fabric::NodeIndex port) const {
-  auto it = wiring_.host_of_port.find(port);
-  return it == wiring_.host_of_port.end() ? -1 : it->second;
-}
-
 int Controller::BelievedHostOfDisk(const std::string& disk) const {
   auto node = wiring_.topology.Find(disk);
   if (!node.ok()) return -1;

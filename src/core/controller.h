@@ -93,8 +93,6 @@ class Controller {
                   sim::Time deadline);
   void RollBack(const std::vector<fabric::SwitchSetting>& turned);
 
-  // Maps a fabric host-port node to its host index.
-  int HostOfPort(fabric::NodeIndex port) const;
   Result<fabric::NodeIndex> PortForHost(int host_index,
                                         fabric::NodeIndex disk) const;
 

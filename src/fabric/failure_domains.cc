@@ -26,7 +26,6 @@ NodeIndex WiringHubOf(const Topology& topology, NodeIndex disk) {
 
 FailureDomainMap EnumerateFailureDomains(const BuiltFabric& fabric) {
   FailureDomainMap map;
-  map.disk_domain.assign(fabric.topology.size(), -1);
 
   // hub -> disks, ordered by hub node index for determinism. Disks with no
   // wiring hub (single-disk-on-port fabrics) each get a singleton domain
@@ -41,7 +40,6 @@ FailureDomainMap EnumerateFailureDomains(const BuiltFabric& fabric) {
     FailureDomain domain;
     domain.hub = hub;
     domain.disks = disks;
-    for (NodeIndex disk : disks) map.disk_domain[disk] = map.size();
     map.domains.push_back(std::move(domain));
   }
   return map;

@@ -29,15 +29,8 @@ struct FailureDomain {
 
 struct FailureDomainMap {
   std::vector<FailureDomain> domains;  // ordered by hub node index
-  // topology node -> domain id; -1 for non-disks and unwired disks.
-  std::vector<int> disk_domain;
 
   int size() const { return static_cast<int>(domains.size()); }
-  int DomainOf(NodeIndex disk) const {
-    return disk >= 0 && disk < static_cast<NodeIndex>(disk_domain.size())
-               ? disk_domain[disk]
-               : -1;
-  }
 };
 
 // Partitions `fabric`'s disks by static wiring: two disks share a domain

@@ -145,9 +145,6 @@ class DiskStateArray {
   Bytes total_bytes_read() const { return total_bytes_read_; }
   Bytes total_bytes_written() const { return total_bytes_written_; }
   std::uint64_t total_spin_cycles() const { return total_spin_cycles_; }
-  int CountInState(DiskState state) const {
-    return state_counts_[static_cast<int>(state)];
-  }
   // Current power draw summed over the array, from the per-state counts.
   Watts TotalPower() const;
 

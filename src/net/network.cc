@@ -14,17 +14,6 @@ void Network::Register(const NodeId& id, Node* node) {
 
 void Network::Unregister(const NodeId& id) { nodes_.erase(id); }
 
-void Network::SetLink(const NodeId& a, const NodeId& b, LinkParams params) {
-  links_[{a, b}] = params;
-  links_[{b, a}] = params;
-}
-
-const LinkParams& Network::ParamsFor(const NodeId& from,
-                                     const NodeId& to) const {
-  auto it = links_.find({from, to});
-  return it != links_.end() ? it->second : default_link_;
-}
-
 void Network::Send(const NodeId& from, const NodeId& to, MessagePtr msg) {
   assert(msg != nullptr);
   ++messages_sent_;
@@ -37,7 +26,7 @@ void Network::Send(const NodeId& from, const NodeId& to, MessagePtr msg) {
     ++messages_dropped_;
     return;
   }
-  const LinkParams& link = ParamsFor(from, to);
+  const LinkParams& link = default_link_;
   if (link.loss_probability > 0.0 && rng_.NextBool(link.loss_probability)) {
     ++messages_dropped_;
     return;

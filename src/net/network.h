@@ -1,8 +1,9 @@
 // Simulated data-center network.
 //
 // Models the existing Ethernet infrastructure UStore piggybacks on:
-// point-to-point messages between named nodes with per-link latency,
-// bandwidth serialization (FIFO per directed link) and optional loss.
+// point-to-point messages between named nodes over one link model shared
+// by every pair (latency, bandwidth, optional loss), with bandwidth
+// serialization FIFO per directed link.
 // Fault injection (node down, pairwise partition) drives the failure-
 // detection experiments.
 #pragma once
@@ -51,12 +52,9 @@ class Network {
 
   void Register(const NodeId& id, Node* node);
   void Unregister(const NodeId& id);
-  bool IsRegistered(const NodeId& id) const { return nodes_.contains(id); }
 
   void set_default_link(LinkParams params) { default_link_ = params; }
   const LinkParams& default_link() const { return default_link_; }
-  // Sets parameters for both directions between a and b.
-  void SetLink(const NodeId& a, const NodeId& b, LinkParams params);
 
   // Queues msg for delivery. Messages to unknown/down/partitioned nodes are
   // silently dropped — exactly how a crashed host looks from the outside.
@@ -64,7 +62,6 @@ class Network {
 
   // --- Fault injection -----------------------------------------------------
   void SetNodeDown(const NodeId& id, bool down);
-  bool IsNodeDown(const NodeId& id) const { return down_.contains(id); }
   void SetPartitioned(const NodeId& a, const NodeId& b, bool partitioned);
   // Adds `extra` one-way latency to every message between a and b (both
   // directions) on top of the link's modelled latency — a congested or
@@ -83,13 +80,10 @@ class Network {
  private:
   using DirectedLink = std::pair<NodeId, NodeId>;
 
-  const LinkParams& ParamsFor(const NodeId& from, const NodeId& to) const;
-
   sim::Simulator* sim_;
   Rng rng_;
   LinkParams default_link_;
   std::unordered_map<NodeId, Node*> nodes_;
-  std::map<DirectedLink, LinkParams> links_;
   std::map<DirectedLink, sim::Time> link_free_at_;
   std::map<DirectedLink, bool> partitioned_;
   std::map<DirectedLink, sim::Duration> extra_delay_;

@@ -282,9 +282,8 @@ void ShardedEngine::Post(int from_shard, int to_shard, Duration delay,
       .push_back(Mail{at, std::move(fn)});
 }
 
-std::uint64_t ShardedEngine::FlushMailboxes() {
+void ShardedEngine::FlushMailboxes() {
   const int shard_count = shards();
-  std::uint64_t flushed = 0;
   for (int dst = 0; dst < shard_count; ++dst) {
     ShardQueue& queue = *queues_[dst];
     for (int src = 0; src < shard_count; ++src) {
@@ -296,12 +295,10 @@ std::uint64_t ShardedEngine::FlushMailboxes() {
         assert(mail.at >= queue.now());
         queue.ScheduleAt(mail.at, std::move(mail.fn));
         ++cross_posts_;
-        ++flushed;
       }
       box.clear();
     }
   }
-  return flushed;
 }
 
 void ShardedEngine::RunShardTimed(int shard, Time bound,
@@ -326,7 +323,7 @@ void ShardedEngine::RunEpochShards(Time bound, std::uint64_t max_events) {
 void ShardedEngine::Run(std::uint64_t max_events) {
   const std::uint64_t wall0 = WallNow();
   for (;;) {
-    const std::uint64_t flushed = FlushMailboxes();
+    FlushMailboxes();
     Time earliest = kNoEvent;
     for (const auto& queue : queues_) {
       earliest = std::min(earliest, queue->EarliestOr(kNoEvent));
@@ -344,7 +341,6 @@ void ShardedEngine::Run(std::uint64_t max_events) {
     for (int k = 0; k < shards(); ++k) {
       if (queues_[k]->EarliestOr(kNoEvent) < bound) ready_.push_back(k);
     }
-    if (barrier_hook_) barrier_hook_(epochs_, bound, flushed);
     RunEpochShards(bound, max_events - fired);
     ++epochs_;
   }

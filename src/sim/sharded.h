@@ -36,9 +36,10 @@
 //     event.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_fn.h"
@@ -216,16 +217,6 @@ class ShardedEngine final : public UnitEngine {
   // are exactly the epochs the pool runs.
   std::uint64_t multi_shard_epochs() const { return multi_shard_epochs_; }
 
-  // Invoked single-threaded at every epoch barrier, after the mailbox
-  // flush and before any shard starts the epoch — the instant cross-shard
-  // transfers (meta-lease grants and revokes included) become visible to
-  // their destination heaps. Observation only: the oracle has no barriers,
-  // so a hook that scheduled events or touched model state would break the
-  // bit-exactness contract. `flushed` counts mails delivered by the flush.
-  using BarrierHook =
-      std::function<void(std::uint64_t epoch, Time bound, std::uint64_t flushed)>;
-  void SetBarrierHook(BarrierHook hook) { barrier_hook_ = std::move(hook); }
-
   // Wall-clock measurements, never part of model reports: time shard k
   // spent firing events, and Run() wall minus that busy time — which
   // counts plain idling (epochs where the shard had nothing ready) as well
@@ -245,9 +236,8 @@ class ShardedEngine final : public UnitEngine {
   struct Pool;  // worker pool; lives in sharded.cc
 
   // Moves every queued mail into its destination heap, in (destination,
-  // source, FIFO) order — single-threaded, between epochs. Returns the
-  // number of mails delivered.
-  std::uint64_t FlushMailboxes();
+  // source, FIFO) order — single-threaded, between epochs.
+  void FlushMailboxes();
   void RunEpochShards(Time bound, std::uint64_t max_events);
   void RunShardTimed(int shard, Time bound, std::uint64_t max_events);
 
@@ -268,7 +258,6 @@ class ShardedEngine final : public UnitEngine {
   // one slot never race.
   std::vector<std::uint64_t> busy_ns_;
   std::uint64_t run_wall_ns_ = 0;
-  BarrierHook barrier_hook_;
   std::unique_ptr<Pool> pool_;
 };
 
