@@ -145,8 +145,8 @@ void PaxosNode::ResetElectionTimer() {
 void PaxosNode::StartElection() {
   if (stopped_) return;
   obs::Metrics().Increment("paxos.elections");
-  obs::Tracer().Record("paxos:" + id(), "election_started", sim_->now(),
-                       sim_->now());
+  obs::Tracer().Emit("paxos:" + id(), "election_started", sim_->now(),
+                     sim_->now(), {});
   role_ = Role::kCandidate;
   leader_hint_ = -1;
   my_ballot_ = MakeBallot(std::max(promised_.round, my_ballot_.round) + 1);
@@ -201,9 +201,8 @@ void PaxosNode::StartElection() {
 void PaxosNode::BecomeLeader() {
   if (role_ == Role::kLeader) return;
   obs::Metrics().Increment("paxos.leader_changes");
-  obs::Tracer().Record("paxos:" + id(), "became_leader", sim_->now(),
-                       sim_->now(),
-                       {{"round", std::to_string(my_ballot_.round)}});
+  obs::Tracer().Emit("paxos:" + id(), "became_leader", sim_->now(),
+                     sim_->now(), {}, {{"round", my_ballot_.round}});
   role_ = Role::kLeader;
   leader_hint_ = my_index_;
   ++election_cookie_;  // no more promises accepted for this round

@@ -8,6 +8,15 @@
 
 namespace ustore::core {
 
+namespace {
+
+// One cached handle per thread serves every ClientLib, as hw/disk.cc's
+// do; the bounds apply when the histogram is first created.
+thread_local obs::HistogramHandle batch_size_metric{"client.io.batch_size",
+                                                    obs::CountBuckets()};
+
+}  // namespace
+
 ClientLib::ClientLib(sim::Simulator* sim, net::Network* network,
                      net::NodeId id, ClientLibOptions options)
     : sim_(sim),
@@ -69,8 +78,8 @@ void ClientLib::CallMaster(net::MessagePtr request,
                                  attempt, delay, ctx, timeout]() mutable {
             // The wait itself becomes a span in the request tree, so the
             // analyzer can attribute it to the retry_backoff phase.
-            obs::Tracer().Record("client", "retry_backoff",
-                                 sim_->now() - delay, sim_->now(), {}, ctx);
+            obs::Tracer().Emit("client", "retry_backoff", sim_->now() - delay,
+                               sim_->now(), ctx);
             CallMaster(std::move(request), std::move(done), attempt + 1,
                        ctx, timeout);
           });
@@ -391,8 +400,7 @@ void ClientLib::Volume::Read(
         // Phase attribution only makes sense for requests that reached the
         // disk; error paths report zeroed phases.
         if (result.ok()) owner_->read_phases_.Record(phases, 0, e2e);
-        obs::Tracer().EndWith(span,
-                              {{"outcome", result.ok() ? "ok" : "error"}});
+        obs::Tracer().End(span, {{"outcome", result.ok() ? "ok" : "error"}});
         if (!result.ok()) OnIoError(result.status());
         done(std::move(result));
       },
@@ -417,8 +425,7 @@ void ClientLib::Volume::Write(Bytes offset, Bytes length, bool random,
         const sim::Duration e2e = owner_->sim_->now() - started;
         obs::Metrics().Observe("client.write.latency_us", sim::ToMicros(e2e));
         if (status.ok()) owner_->write_phases_.Record(phases, 0, e2e);
-        obs::Tracer().EndWith(span,
-                              {{"outcome", status.ok() ? "ok" : "error"}});
+        obs::Tracer().End(span, {{"outcome", status.ok() ? "ok" : "error"}});
         if (!status.ok()) OnIoError(status);
         done(status);
       },
@@ -442,8 +449,7 @@ void ClientLib::Volume::SubmitBatch(std::span<const IoOp> ops,
   const std::uint64_t writes = ops.size() - reads;
   obs::Metrics().Increment("client.reads", reads);
   obs::Metrics().Increment("client.writes", writes);
-  obs::Metrics().Observe("client.io.batch_size",
-                         static_cast<double>(ops.size()), obs::CountBuckets());
+  batch_size_metric.Observe(static_cast<double>(ops.size()));
   const obs::SpanId span = obs::Tracer().Begin(
       "client", "submit_batch", {},
       {{"space", space_name_}, {"ops", ops.size()}});
@@ -479,8 +485,7 @@ void ClientLib::Volume::SubmitBatch(std::span<const IoOp> ops,
         // One phase sample per batch (client.batch.phase.*_us): the batch
         // shares one round trip, so per-op phase samples would be copies.
         if (result.ok()) owner_->batch_phases_.Record(phases, 0, e2e);
-        obs::Tracer().EndWith(span,
-                              {{"outcome", result.ok() ? "ok" : "error"}});
+        obs::Tracer().End(span, {{"outcome", result.ok() ? "ok" : "error"}});
         if (!result.ok()) {
           OnIoError(result.status());
           call->done(result.status(), {});

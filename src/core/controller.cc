@@ -8,6 +8,15 @@
 
 namespace ustore::core {
 
+namespace {
+
+// One cached handle per thread serves every Controller, as hw/disk.cc's
+// do; the bounds apply when the histogram is first created.
+thread_local obs::HistogramHandle switches_metric{
+    "controller.switches_per_command", obs::CountBuckets()};
+
+}  // namespace
+
 Controller::Controller(sim::Simulator* sim, net::Network* network,
                        net::NodeId id, fabric::BuiltFabric wiring,
                        fabric::FabricManager* manager, int mcu_index,
@@ -210,9 +219,7 @@ void Controller::Execute(Command command) {
     FinishCommand(command, plan.status());
     return;
   }
-  obs::Metrics().Observe("controller.switches_per_command",
-                         static_cast<double>(plan->size()),
-                         obs::CountBuckets());
+  switches_metric.Observe(static_cast<double>(plan->size()));
 
   // Step 3: drive the switches through the microcontroller, one by one.
   for (const auto& setting : *plan) {

@@ -304,12 +304,12 @@ void Disk::Deliver(Pending& pending, IoCompletion completion) {
   if (pending.batch == 0) {
     if (pending.span > obs::kUnsampledSpan) {
       if (completion.status.ok()) {
-        tracer.EndAtWith(pending.span, completion.completed_at,
-                         {{"service_ns", completion.service_ns}});
+        tracer.EndAt(pending.span, completion.completed_at,
+                     {{"service_ns", completion.service_ns}});
       } else {
-        tracer.EndAtWith(pending.span, completion.completed_at,
-                         {{"service_ns", completion.service_ns},
-                          {"error", completion.status.ToString()}});
+        tracer.EndAt(pending.span, completion.completed_at,
+                     {{"service_ns", completion.service_ns},
+                      {"error", completion.status.ToString()}});
       }
     }
     pending.callback(completion);
@@ -410,7 +410,7 @@ void Disk::PowerOff() {
   spin_timer_.Stop();
   idle_timer_.Stop();
   // A stopped spin-up never reaches FinishSpinUp, so its span ends here.
-  obs::Tracer().EndWith(spin_span_, {{"outcome", "powered-off"}});
+  obs::Tracer().End(spin_span_, {{"outcome", "powered-off"}});
   spin_span_ = obs::kInvalidSpan;
   // The in-flight window (if any) resolves at its scheduled drain event;
   // members past this instant fail there with "lost power mid-io".
@@ -424,7 +424,7 @@ void Disk::Fail() {
   failed_ = true;
   spin_timer_.Stop();
   idle_timer_.Stop();
-  obs::Tracer().EndWith(spin_span_, {{"outcome", "failed"}});
+  obs::Tracer().End(spin_span_, {{"outcome", "failed"}});
   spin_span_ = obs::kInvalidSpan;
   // Cut short, the platter stops where Repair() expects it.
   if (state_ == DiskState::kSpinningUp) state_ = DiskState::kSpunDown;

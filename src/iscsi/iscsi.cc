@@ -147,7 +147,7 @@ void IscsiTarget::RegisterHandlers() {
               [sim, disk, disk_offset, is_read, length, tag, span, handled_at,
                submitted_at, reply](const hw::IoCompletion& completion) {
                 const Status& status = completion.status;
-                obs::Tracer().EndWith(
+                obs::Tracer().End(
                     span,
                     {{"outcome", status.ok() ? "ok" : status.ToString()}});
                 if (!status.ok()) {
@@ -278,8 +278,8 @@ void IscsiTarget::RegisterHandlers() {
                 phases.fabric = std::max<sim::Duration>(
                     0, (sim->now() - handled_at) - phases.queue_wait -
                            phases.spin_up - phases.disk_service);
-                obs::Tracer().EndWith(span,
-                                      {{"outcome", all_ok ? "ok" : "partial"}});
+                obs::Tracer().End(span,
+                                  {{"outcome", all_ok ? "ok" : "partial"}});
                 reply(net::MessagePtr(std::move(response)));
               },
               obs::Tracer().ContextFor(span));

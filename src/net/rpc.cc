@@ -59,7 +59,7 @@ void RpcEndpoint::FinishCall(PendingCall& call, const char* outcome) {
     obs::Metrics().Observe("rpc.latency_us",
                            sim::ToMicros(sim_->now() - call.started));
   }
-  obs::Tracer().EndWith(call.span, {{"outcome", outcome}});
+  obs::Tracer().End(call.span, {{"outcome", outcome}});
   call.span = obs::kInvalidSpan;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 
 namespace ustore::obs {
 
@@ -30,30 +29,15 @@ const char* SignalName(SloRule::Signal signal) {
 }  // namespace
 
 double WindowedAggregator::HistogramWindow::Quantile(double q) const {
-  if (count == 0) return std::numeric_limits<double>::quiet_NaN();
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count);
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < bucket_deltas.size(); ++b) {
-    if (bucket_deltas[b] == 0) continue;
-    const double before = static_cast<double>(cumulative);
-    cumulative += bucket_deltas[b];
-    if (static_cast<double>(cumulative) < target) continue;
-    // Unlike the cumulative Histogram we have no windowed min/max, only
-    // bucket bounds: interpolate across the bucket, clamping the
-    // unbounded overflow bucket to the top bound.
-    const double lower = b == 0 ? 0.0 : bounds[b - 1];
-    const double upper = b < bounds.size() ? bounds[b] : bounds.back();
-    const double fraction =
-        (target - before) / static_cast<double>(bucket_deltas[b]);
-    return lower + fraction * (upper - lower);
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
+  // A window has no min/max of its own, only bucket bounds: the first
+  // bucket starts at 0 and the overflow bucket is clamped to the top bound.
+  return BucketQuantile(bounds, bucket_deltas, count, 0.0,
+                        bounds.empty() ? 0.0 : bounds.back(), q);
 }
 
 WindowedAggregator::WindowStats WindowedAggregator::CloseWindow(
     MetricsRegistry& registry, sim::Time at, bool partial) {
-  const MetricsSnapshot snapshot = registry.Snapshot(/*reset=*/false);
+  const MetricsSnapshot snapshot = registry.Snapshot();
 
   WindowStats stats;
   stats.start = window_start_;

@@ -62,8 +62,8 @@ class WindowedAggregator {
     double sum = 0;
     std::vector<double> bounds;
     std::vector<std::uint64_t> bucket_deltas;
-    // Windowed quantile from bucket deltas alone (bounds interpolation,
-    // overflow clamped to the top bound); NaN when count == 0.
+    // Windowed quantile from bucket deltas alone: BucketQuantile with min
+    // 0 and max the top bound; NaN when count == 0.
     double Quantile(double q) const;
   };
   struct WindowStats {

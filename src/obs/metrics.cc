@@ -32,35 +32,26 @@ void Histogram::Record(double value) {
   sum_ += value;
 }
 
-double Histogram::Quantile(double q) const {
-  // NaN, not 0: an empty histogram has no quantiles, and 0 is
-  // indistinguishable from a real measured zero. Consumers render this as
-  // JSON null / a "-" cell.
-  if (count_ == 0) return std::numeric_limits<double>::quiet_NaN();
+double BucketQuantile(const std::vector<double>& bounds,
+                      const std::vector<std::uint64_t>& counts,
+                      std::uint64_t count, double min, double max, double q) {
+  if (count == 0) return std::numeric_limits<double>::quiet_NaN();
   q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
+  const double target = q * static_cast<double>(count);
   std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    if (counts_[b] == 0) continue;
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    if (counts[b] == 0) continue;
     const double before = static_cast<double>(cumulative);
-    cumulative += counts_[b];
+    cumulative += counts[b];
     if (static_cast<double>(cumulative) < target) continue;
     // The target sample lands in bucket b: interpolate across its span.
-    const double lower = b == 0 ? std::max(0.0, min_) : bounds_[b - 1];
-    const double upper = b < bounds_.size() ? bounds_[b] : max_;
+    const double lower = b == 0 ? std::max(0.0, min) : bounds[b - 1];
+    const double upper = b < bounds.size() ? bounds[b] : max;
     const double fraction =
-        counts_[b] == 0 ? 0
-                        : (target - before) / static_cast<double>(counts_[b]);
-    const double estimate = lower + fraction * (upper - lower);
-    return std::clamp(estimate, min_, max_);
+        (target - before) / static_cast<double>(counts[b]);
+    return std::clamp(lower + fraction * (upper - lower), min, max);
   }
-  return max_;
-}
-
-void Histogram::Reset() {
-  counts_.assign(counts_.size(), 0);
-  count_ = 0;
-  sum_ = min_ = max_ = 0;
+  return max;
 }
 
 std::vector<double> LatencyBucketsUs() {
@@ -111,103 +102,61 @@ Histogram& MetricsRegistry::GetHistogram(std::string_view name,
   return *it->second;
 }
 
-MetricsSnapshot MetricsRegistry::Snapshot(bool reset) {
+namespace {
+
+// A snapshot histogram's p50..p99, from its own buckets.
+void EstimateQuantiles(MetricsSnapshot::HistogramState& h) {
+  const auto quantile = [&h](double q) {
+    return BucketQuantile(h.bounds, h.bucket_counts, h.count, h.min, h.max,
+                          q);
+  };
+  h.p50 = quantile(0.50);
+  h.p90 = quantile(0.90);
+  h.p95 = quantile(0.95);
+  h.p99 = quantile(0.99);
+}
+
+}  // namespace
+
+MetricsSnapshot MetricsRegistry::Snapshot() const {
   // The registry's maps and the snapshot's share one key order, so every
   // entry is appended at end() — constant time, no per-name descent.
   MetricsSnapshot snapshot;
   snapshot.at = now();
-  for (auto& [name, counter] : counters_) {
+  for (const auto& [name, counter] : counters_) {
     snapshot.counters.emplace_hint(snapshot.counters.end(), name,
                                    counter.value());
-    if (reset) counter.Reset();
   }
-  for (auto& [name, gauge] : gauges_) {
-    MetricsSnapshot::GaugeState state;
-    state.value = gauge.value();
-    state.samples.assign(gauge.samples().begin(), gauge.samples().end());
-    snapshot.gauges.emplace_hint(snapshot.gauges.end(), name,
-                                 std::move(state));
-    if (reset) gauge.Reset();
+  for (const auto& [name, gauge] : gauges_) {
+    snapshot.gauges.emplace_hint(
+        snapshot.gauges.end(), name,
+        MetricsSnapshot::GaugeState{gauge.value(), gauge.at()});
   }
-  for (auto& [name, histogram] : histograms_) {
+  for (const auto& [name, histogram] : histograms_) {
     MetricsSnapshot::HistogramState state;
     state.count = histogram->count();
     state.sum = histogram->sum();
     state.min = histogram->min();
     state.max = histogram->max();
-    state.p50 = histogram->Quantile(0.50);
-    state.p90 = histogram->Quantile(0.90);
-    state.p95 = histogram->Quantile(0.95);
-    state.p99 = histogram->Quantile(0.99);
     state.bounds = histogram->bounds();
     state.bucket_counts = histogram->bucket_counts();
+    EstimateQuantiles(state);
     snapshot.histograms.emplace_hint(snapshot.histograms.end(), name,
                                      std::move(state));
-    if (reset) histogram->Reset();
   }
   return snapshot;
 }
 
-namespace {
-
-// Histogram::Quantile over a merged HistogramState (same interpolation,
-// but driven by the merged bucket counts instead of a live Histogram).
-double StateQuantile(const MetricsSnapshot::HistogramState& h, double q) {
-  if (h.count == 0) return std::numeric_limits<double>::quiet_NaN();
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(h.count);
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < h.bucket_counts.size(); ++b) {
-    if (h.bucket_counts[b] == 0) continue;
-    const double before = static_cast<double>(cumulative);
-    cumulative += h.bucket_counts[b];
-    if (static_cast<double>(cumulative) < target) continue;
-    const double lower = b == 0 ? std::max(0.0, h.min) : h.bounds[b - 1];
-    const double upper = b < h.bounds.size() ? h.bounds[b] : h.max;
-    const double fraction =
-        (target - before) / static_cast<double>(h.bucket_counts[b]);
-    return std::clamp(lower + fraction * (upper - lower), h.min, h.max);
-  }
-  return h.max;
-}
-
-// The stamp a part's gauge competes with: its newest sample's, 0 for an
-// empty trail. The maximum, not the last sample: a merged part's trail
-// concatenates its own parts' trails, so it is not in time order.
-sim::Time NewestStamp(const std::vector<GaugeSample>& samples) {
-  sim::Time newest = 0;
-  for (const GaugeSample& sample : samples) {
-    newest = std::max(newest, sample.at);
-  }
-  return newest;
-}
-
-}  // namespace
-
 MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& parts) {
   MetricsSnapshot merged;
-  // Each merged gauge carries the stamp its value was chosen by until the
-  // last part is in; then the states move into `merged` in key order.
-  struct StampedGauge {
-    MetricsSnapshot::GaugeState state;
-    sim::Time newest = 0;
-  };
-  std::map<std::string, StampedGauge> gauges;
   for (const MetricsSnapshot& part : parts) {
     merged.at = std::max(merged.at, part.at);
     for (const auto& [name, value] : part.counters) {
       merged.counters[name] += value;
     }
     for (const auto& [name, gauge] : part.gauges) {
-      const sim::Time newest = NewestStamp(gauge.samples);
-      auto [it, inserted] = gauges.try_emplace(name);
-      StampedGauge& into = it->second;
-      if (inserted || newest > into.newest) {
-        into.state.value = gauge.value;
-        into.newest = newest;
-      }
-      into.state.samples.insert(into.state.samples.end(),
-                                gauge.samples.begin(), gauge.samples.end());
+      auto [it, inserted] = merged.gauges.try_emplace(name, gauge);
+      if (!inserted && gauge.at > it->second.at) it->second = gauge;
     }
     for (const auto& [name, histogram] : part.histograms) {
       auto [it, inserted] = merged.histograms.try_emplace(name, histogram);
@@ -230,16 +179,8 @@ MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& parts) {
       }
     }
   }
-  while (!gauges.empty()) {
-    auto node = gauges.extract(gauges.begin());
-    merged.gauges.emplace_hint(merged.gauges.end(), std::move(node.key()),
-                               std::move(node.mapped().state));
-  }
   for (auto& [name, histogram] : merged.histograms) {
-    histogram.p50 = StateQuantile(histogram, 0.50);
-    histogram.p90 = StateQuantile(histogram, 0.90);
-    histogram.p95 = StateQuantile(histogram, 0.95);
-    histogram.p99 = StateQuantile(histogram, 0.99);
+    EstimateQuantiles(histogram);
   }
   return merged;
 }
@@ -388,16 +329,9 @@ std::string DumpJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, gauge] : snapshot.gauges) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + JsonEscape(name) +
-           "\": {\"value\": " + JsonNumber(gauge.value) + ", \"samples\": [";
-    bool first_sample = true;
-    for (const GaugeSample& sample : gauge.samples) {
-      if (!first_sample) out += ", ";
-      first_sample = false;
-      out += "[" + std::to_string(sample.at) + ", " +
-             JsonNumber(sample.value) + "]";
-    }
-    out += "]}";
+    out += "    \"" + JsonEscape(name) + "\": {\"value\": " +
+           JsonNumber(gauge.value) + ", \"at\": " + std::to_string(gauge.at) +
+           "}";
   }
   out += first ? "},\n" : "\n  },\n";
 

@@ -3,9 +3,8 @@
 // Three metric kinds cover everything the reproduction measures:
 //
 //   * Counter   — monotonically increasing uint64 (ops, RPCs, elections);
-//   * Gauge     — last-value double plus a bounded ring of (sim-time, value)
-//                 samples, so levels (unit power draw, attached flows)
-//                 leave an inspectable trail;
+//   * Gauge     — a level (unit power draw, attached flows): its last value
+//                 and the sim time of the Set that wrote it;
 //   * Histogram — fixed upper-bound buckets with count/sum/min/max and
 //                 linear-interpolation quantile estimation (service times,
 //                 RPC latencies, switch flips per command).
@@ -13,8 +12,10 @@
 // Names follow `component.metric` with a unit suffix where applicable
 // (`_us`, `_bytes`, `_w`); see the README convention table. The registry is
 // a singleton (`obs::Metrics()`) so instrumentation points anywhere in the
-// stack need no plumbing; experiments call `Reset()` between runs and
+// stack need no plumbing; experiments call `Clear()` between runs and
 // `BindSimulator()` so snapshots carry simulated — not wall-clock — time.
+// Snapshots never reset anything: per-interval views come from
+// WindowedAggregator (obs/health.h), which differences two snapshots.
 //
 // Parallel runs (core::RunShardedFleet's units, a ShardedCluster's groups)
 // redirect the singletons per thread: a ScopedObsBinding installed on a
@@ -26,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -46,37 +46,36 @@ class Counter {
  public:
   void Increment(std::uint64_t by = 1) { value_ += by; }
   std::uint64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
 
  private:
   std::uint64_t value_ = 0;
 };
 
-struct GaugeSample {
-  sim::Time at = 0;
-  double value = 0;
-};
-
 class Gauge {
  public:
-  // Bounded sample trail: the most recent `kMaxSamples` Set() calls.
-  static constexpr std::size_t kMaxSamples = 256;
-
   void Set(double value, sim::Time at) {
     value_ = value;
-    samples_.push_back(GaugeSample{at, value});
-    if (samples_.size() > kMaxSamples) samples_.pop_front();
+    at_ = at;
   }
   double value() const { return value_; }
-  const std::deque<GaugeSample>& samples() const { return samples_; }
-  // Reset clears the trail but keeps the last value: a gauge describes
-  // current state, which survives a snapshot boundary.
-  void Reset() { samples_.clear(); }
+  // The stamp of the last Set; 0 for a gauge never set.
+  sim::Time at() const { return at_; }
 
  private:
   double value_ = 0;
-  std::deque<GaugeSample> samples_;
+  sim::Time at_ = 0;
 };
+
+// Quantile estimate (q in [0,1]) from bucket counts: linear interpolation
+// inside the bucket holding the q-th of `count` samples, across that
+// bucket's span (the first bucket starts at max(0, min), the overflow
+// bucket ends at max), clamped to [min, max]. NaN, not 0, when count is 0:
+// an empty histogram has no quantiles, and 0 would read as a measured zero
+// (consumers render it as JSON null or a "-" cell). `counts` has one entry
+// per bound plus the overflow bucket.
+double BucketQuantile(const std::vector<double>& bounds,
+                      const std::vector<std::uint64_t>& counts,
+                      std::uint64_t count, double min, double max, double q);
 
 class Histogram {
  public:
@@ -92,15 +91,13 @@ class Histogram {
   double max() const { return count_ == 0 ? 0 : max_; }
   double mean() const { return count_ == 0 ? 0 : sum_ / count_; }
 
-  // Quantile estimate (q in [0,1]) by linear interpolation inside the
-  // bucket holding the q-th sample; the overflow bucket is clamped to the
-  // observed max.
-  double Quantile(double q) const;
+  // BucketQuantile over this histogram's buckets and observed range.
+  double Quantile(double q) const {
+    return BucketQuantile(bounds_, counts_, count_, min_, max_, q);
+  }
 
   const std::vector<double>& bounds() const { return bounds_; }
   const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
-
-  void Reset();
 
  private:
   std::vector<double> bounds_;
@@ -122,7 +119,7 @@ struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   struct GaugeState {
     double value = 0;
-    std::vector<GaugeSample> samples;
+    sim::Time at = 0;  // the stamp of the Set that wrote `value`
   };
   std::map<std::string, GaugeState> gauges;
   struct HistogramState {
@@ -139,10 +136,9 @@ struct MetricsSnapshot {
 // counters sum; histograms with matching bounds merge bucket-wise, with
 // quantiles re-estimated from the merged buckets (mismatched bounds keep
 // the first part's buckets and only fold in count/sum/min/max); a gauge
-// takes the value of the part with the newest sample for it — the largest
-// stamp in the part's trail, 0 for an empty one; earlier part wins ties —
-// and the sample trails concatenate in part order, so a merged trail need
-// not be in time order. `at` is the max across parts. The result is a pure
+// takes the state — value and stamp — of the part with the largest stamp
+// for it, the earlier part winning ties, so a merged part competes with
+// its newest stamp. `at` is the max across parts. The result is a pure
 // function of the parts vector, so merging per-group registries in group
 // order yields bit-identical output at any shard count.
 MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& parts);
@@ -173,16 +169,9 @@ class MetricsRegistry {
   void Observe(std::string_view name, double value) {
     GetHistogram(name).Record(value);
   }
-  void Observe(std::string_view name, double value,
-               std::vector<double> bounds) {
-    GetHistogram(name, std::move(bounds)).Record(value);
-  }
 
   // Snapshot of every metric, stamped with the current simulated time.
-  // With `reset`, counters zero, histograms empty, and gauge trails clear
-  // (gauge last-values persist) — so periodic collectors see per-interval
-  // deltas.
-  MetricsSnapshot Snapshot(bool reset = false);
+  MetricsSnapshot Snapshot() const;
 
   // Drops every metric entirely (experiment/test isolation).
   void Clear();
@@ -240,92 +229,96 @@ class ScopedObsBinding {
   std::uint64_t prev_epoch_;
 };
 
-// Cached handles to named metrics for hot paths: the string-keyed map walk
-// happens once, then each use is two compares (binding epoch, registry
-// generation) plus a pointer dereference — no out-of-line call. Handles
-// transparently re-resolve after Metrics().Clear() and across
-// ScopedObsBinding changes, so they are safe to keep in long-lived objects
-// across experiment resets. The epoch check must short-circuit before the
-// generation load: only a matching epoch guarantees registry_ is alive.
-class CounterHandle {
+namespace internal {
+// The one validity rule behind CounterHandle, GaugeHandle and
+// HistogramHandle: the string-keyed map walk happens once, then each use
+// is two compares (binding epoch, registry generation) plus a pointer
+// dereference — no out-of-line call. The epoch check must short-circuit
+// before the generation load: only a matching epoch guarantees registry_
+// is alive.
+template <typename Metric>
+class MetricCache {
  public:
-  explicit CounterHandle(std::string name) : name_(std::move(name)) {}
-  Counter& get() {
-    if (cached_ != nullptr && epoch_ == internal::obs_epoch &&
+  // The cached metric while it is valid; otherwise `lookup` applied to the
+  // thread-current registry, cached.
+  template <typename Lookup>
+  Metric& Resolve(const Lookup& lookup) {
+    if (cached_ != nullptr && epoch_ == obs_epoch &&
         generation_ == registry_->generation()) {
       return *cached_;
     }
     MetricsRegistry& registry = Metrics();
-    cached_ = &registry.GetCounter(name_);
+    cached_ = &lookup(registry);
     registry_ = &registry;
     generation_ = registry.generation();
-    epoch_ = internal::obs_epoch;
+    epoch_ = obs_epoch;
     return *cached_;
+  }
+  // The registry the last Resolve returned a metric of.
+  MetricsRegistry& registry() const { return *registry_; }
+
+ private:
+  Metric* cached_ = nullptr;
+  MetricsRegistry* registry_ = nullptr;
+  std::uint64_t generation_ = 0;
+  std::uint64_t epoch_ = 0;
+};
+}  // namespace internal
+
+// Cached handles to named metrics for hot paths. Handles transparently
+// re-resolve after Metrics().Clear() and across ScopedObsBinding changes,
+// so they are safe to keep in long-lived objects across experiment resets.
+class CounterHandle {
+ public:
+  explicit CounterHandle(std::string name) : name_(std::move(name)) {}
+  Counter& get() {
+    return cache_.Resolve([this](MetricsRegistry& registry) -> Counter& {
+      return registry.GetCounter(name_);
+    });
   }
   void Increment(std::uint64_t by = 1) { get().Increment(by); }
 
  private:
   std::string name_;
-  Counter* cached_ = nullptr;
-  MetricsRegistry* registry_ = nullptr;
-  std::uint64_t generation_ = 0;
-  std::uint64_t epoch_ = 0;
+  internal::MetricCache<Counter> cache_;
 };
 
 class GaugeHandle {
  public:
   explicit GaugeHandle(std::string name) : name_(std::move(name)) {}
   Gauge& get() {
-    if (cached_ != nullptr && epoch_ == internal::obs_epoch &&
-        generation_ == registry_->generation()) {
-      return *cached_;
-    }
-    MetricsRegistry& registry = Metrics();
-    cached_ = &registry.GetGauge(name_);
-    registry_ = &registry;
-    generation_ = registry.generation();
-    epoch_ = internal::obs_epoch;
-    return *cached_;
+    return cache_.Resolve([this](MetricsRegistry& registry) -> Gauge& {
+      return registry.GetGauge(name_);
+    });
   }
   void Set(double value) {
     Gauge& gauge = get();
-    gauge.Set(value, registry_->now());
+    gauge.Set(value, cache_.registry().now());
   }
 
  private:
   std::string name_;
-  Gauge* cached_ = nullptr;
-  MetricsRegistry* registry_ = nullptr;
-  std::uint64_t generation_ = 0;
-  std::uint64_t epoch_ = 0;
+  internal::MetricCache<Gauge> cache_;
 };
 
+// Bounds are fixed when the histogram is first created (see
+// MetricsRegistry::GetHistogram).
 class HistogramHandle {
  public:
   explicit HistogramHandle(std::string name,
                            std::vector<double> bounds = LatencyBucketsUs())
       : name_(std::move(name)), bounds_(std::move(bounds)) {}
   Histogram& get() {
-    if (cached_ != nullptr && epoch_ == internal::obs_epoch &&
-        generation_ == registry_->generation()) {
-      return *cached_;
-    }
-    MetricsRegistry& registry = Metrics();
-    cached_ = &registry.GetHistogram(name_, bounds_);
-    registry_ = &registry;
-    generation_ = registry.generation();
-    epoch_ = internal::obs_epoch;
-    return *cached_;
+    return cache_.Resolve([this](MetricsRegistry& registry) -> Histogram& {
+      return registry.GetHistogram(name_, bounds_);
+    });
   }
   void Observe(double value) { get().Record(value); }
 
  private:
   std::string name_;
   std::vector<double> bounds_;
-  Histogram* cached_ = nullptr;
-  MetricsRegistry* registry_ = nullptr;
-  std::uint64_t generation_ = 0;
-  std::uint64_t epoch_ = 0;
+  internal::MetricCache<Histogram> cache_;
 };
 
 // Points the registry's and trace buffer's clocks at `sim` (call once per

@@ -12,7 +12,7 @@ namespace ustore::obs {
 
 namespace {
 
-// (seq << 32) | slot. Record() spans never live in the slab, so they use a
+// (seq << 32) | slot. Emit() spans never live in the slab, so they use a
 // slot value no slab index can reach.
 constexpr std::uint64_t MakeSpanId(std::uint32_t seq, std::uint32_t slot) {
   return (static_cast<std::uint64_t>(seq) << 32) | slot;
@@ -38,11 +38,6 @@ void AppendAttrs(TraceSpan& span, std::initializer_list<SpanAttr> attrs) {
 }
 
 }  // namespace
-
-SpanId TraceBuffer::Begin(std::string_view component, std::string_view name,
-                          TraceContext ctx) {
-  return StartAt(component, name, now(), ctx);
-}
 
 SpanId TraceBuffer::Begin(std::string_view component, std::string_view name,
                           TraceContext ctx,
@@ -111,29 +106,19 @@ void TraceBuffer::Annotate(SpanId id, std::string_view key,
   attr.second.assign(value);
 }
 
-void TraceBuffer::End(SpanId id) { EndAt(id, now()); }
-
-void TraceBuffer::EndAt(SpanId id, sim::Time end) {
-  TraceSpan* span = FindOpen(id);
-  if (span == nullptr) return;
-  span->end = end;
-  PushCompleted(*span);
-  open_slots_[static_cast<std::uint32_t>(id & 0xFFFFFFFFu)].in_use = false;
-  free_slots_.push_back(static_cast<std::uint32_t>(id & 0xFFFFFFFFu));
-  --open_count_;
+void TraceBuffer::End(SpanId id, std::initializer_list<SpanAttr> attrs) {
+  EndAt(id, now(), attrs);
 }
 
-void TraceBuffer::EndWith(SpanId id, std::initializer_list<SpanAttr> attrs) {
-  EndAtWith(id, now(), attrs);
-}
-
-void TraceBuffer::EndAtWith(SpanId id, sim::Time end,
-                            std::initializer_list<SpanAttr> attrs) {
+void TraceBuffer::EndAt(SpanId id, sim::Time end,
+                        std::initializer_list<SpanAttr> attrs) {
   TraceSpan* span = FindOpen(id);
   if (span == nullptr) return;
   AppendAttrs(*span, attrs);
   span->end = end;
-  PushCompleted(*span);
+  // A swap, not a move: the recycled ring slot's string/vector capacities
+  // flow back into the slab slot for the next span it opens.
+  std::swap(*AcquireRingSlot(), *span);
   open_slots_[static_cast<std::uint32_t>(id & 0xFFFFFFFFu)].in_use = false;
   free_slots_.push_back(static_cast<std::uint32_t>(id & 0xFFFFFFFFu));
   --open_count_;
@@ -175,49 +160,11 @@ TraceContext TraceBuffer::ContextFor(SpanId id) const {
   return {span->trace_id, span->id};
 }
 
-void TraceBuffer::Record(std::string_view component, std::string_view name,
-                         sim::Time start, sim::Time end,
-                         std::vector<std::pair<std::string, std::string>> attrs,
-                         TraceContext ctx) {
-  if (!enabled_) return;
-  if (!Sampled(ctx)) return;
-  TraceSpan span;
-  span.id = MakeSpanId(next_seq_++, kNoSlot);
-  span.trace_id = ctx.active() ? ctx.trace_id : span.id;
-  span.parent = ctx.active() ? ctx.parent : kInvalidSpan;
-  span.component.assign(component);
-  span.name.assign(name);
-  span.start = start;
-  span.end = end;
-  span.attrs = std::move(attrs);
-  PushCompleted(span);
-}
-
-void TraceBuffer::PushCompleted(TraceSpan& span) {
+TraceSpan* TraceBuffer::AcquireRingSlot() {
   if (ring_count_ < capacity_) {
     if (ring_.size() < capacity_) {
       // Lazy growth until the ring reaches capacity; after that slots are
       // recycled in place and retain their string/vector storage.
-      ring_.push_back(std::move(span));
-      ++ring_count_;
-      return;
-    }
-    std::size_t tail = ring_head_ + ring_count_;
-    if (tail >= ring_.size()) tail -= ring_.size();
-    ring_[tail] = std::move(span);
-    ++ring_count_;
-    return;
-  }
-  // Full: overwrite the oldest. Swap so the evicted span's capacities flow
-  // back into `span`'s storage (an open slab slot or Record() local).
-  std::swap(ring_[ring_head_], span);
-  ring_head_ = ring_head_ + 1 == ring_.size() ? 0 : ring_head_ + 1;
-  ++dropped_;
-}
-
-TraceSpan* TraceBuffer::AcquireRingSlot() {
-  if (ring_count_ < capacity_) {
-    if (ring_.size() < capacity_) {
       ring_.emplace_back();
       ++ring_count_;
       return &ring_.back();

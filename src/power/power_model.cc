@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "obs/metrics.h"
-
 namespace ustore::power {
 
 Watts HubPower(const ComponentPower& c, int attached_devices) {
@@ -93,9 +91,6 @@ void PowerMeter::Sample(sim::Time now, Watts watts) {
   }
   last_ = now;
   current_ = watts;
-  if (!gauge_name_.empty()) {
-    obs::Metrics().SetGauge(gauge_name_, watts);
-  }
 }
 
 Watts PowerMeter::average_power() const {

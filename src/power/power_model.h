@@ -82,11 +82,6 @@ DiskPowerRow UsbDiskPower(const ComponentPower& c = {});
 // Integrates instantaneous power samples over simulated time.
 class PowerMeter {
  public:
-  // When set, every Sample() also feeds the named gauge in the global
-  // metrics registry (e.g. "power.unit_watts"), so the draw curve shows
-  // up in obs::DumpJson() alongside everything else.
-  void set_gauge(std::string name) { gauge_name_ = std::move(name); }
-
   // Accumulates `watts` held since the previous sample time.
   void Sample(sim::Time now, Watts watts);
   Joules total_energy() const { return energy_; }
@@ -99,7 +94,6 @@ class PowerMeter {
   sim::Time last_ = 0;
   Watts current_ = 0;
   Joules energy_ = 0;
-  std::string gauge_name_;
 };
 
 }  // namespace ustore::power

@@ -161,7 +161,7 @@ TEST(ScopedObsBindingTest, RedirectsAndRestoresPerThread) {
     handle.Increment();
     EXPECT_EQ(local.GetCounter("binding.test").value(), 2u);
     EXPECT_EQ(&obs::Tracer(), &local_trace);
-    obs::Tracer().Record("test", "span", 0, 1);
+    obs::Tracer().Emit("test", "span", 0, 1, {});
     EXPECT_EQ(local_trace.completed_count(), 1u);
   }
   // Restored: the global registry is untouched by the bound increments.

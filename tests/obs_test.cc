@@ -82,23 +82,39 @@ TEST_F(ObsTest, SnapshotAndResetSemantics) {
     Metrics().SetGauge("test.state", 2.0);
     Metrics().Observe("test.latency_us", 42.0);
   });
+  sim.Schedule(sim::Seconds(5),
+               [] { Metrics().Observe("test.latency_us", 300.0); });
   sim.Run();
 
-  MetricsSnapshot snapshot = Metrics().Snapshot(/*reset=*/true);
-  EXPECT_EQ(snapshot.at, sim::Seconds(3));
+  const MetricsSnapshot snapshot = Metrics().Snapshot();
+  EXPECT_EQ(snapshot.at, sim::Seconds(5));
   EXPECT_EQ(snapshot.counters.at("test.ops"), 7u);
-  EXPECT_DOUBLE_EQ(snapshot.gauges.at("test.state").value, 2.0);
-  ASSERT_EQ(snapshot.gauges.at("test.state").samples.size(), 1u);
-  EXPECT_EQ(snapshot.gauges.at("test.state").samples[0].at, sim::Seconds(3));
-  EXPECT_EQ(snapshot.histograms.at("test.latency_us").count, 1u);
+  // A gauge is its value and the stamp of the Set that wrote it, not the
+  // snapshot's stamp.
+  EXPECT_EQ(snapshot.gauges.at("test.state").value, 2.0);
+  EXPECT_EQ(snapshot.gauges.at("test.state").at, sim::Seconds(3));
+  const MetricsSnapshot::HistogramState& h =
+      snapshot.histograms.at("test.latency_us");
+  const Histogram& live = Metrics().GetHistogram("test.latency_us");
+  EXPECT_EQ(h.count, 2u);
+  EXPECT_EQ(h.sum, 342.0);
+  EXPECT_EQ(h.min, 42.0);
+  EXPECT_EQ(h.max, 300.0);
+  EXPECT_EQ(h.p50, live.Quantile(0.50));
+  EXPECT_EQ(h.p90, live.Quantile(0.90));
+  EXPECT_EQ(h.p95, live.Quantile(0.95));
+  EXPECT_EQ(h.p99, live.Quantile(0.99));
+  EXPECT_EQ(h.bounds, LatencyBucketsUs());
+  EXPECT_EQ(h.bucket_counts, live.bucket_counts());
 
-  // After a resetting snapshot: counters zero, histograms empty, gauge
-  // trail cleared but last value retained.
-  MetricsSnapshot after = Metrics().Snapshot();
-  EXPECT_EQ(after.counters.at("test.ops"), 0u);
-  EXPECT_EQ(after.histograms.at("test.latency_us").count, 0u);
-  EXPECT_DOUBLE_EQ(after.gauges.at("test.state").value, 2.0);
-  EXPECT_TRUE(after.gauges.at("test.state").samples.empty());
+  // Taking a snapshot resets nothing: a second one reads the same state.
+  const MetricsSnapshot again = Metrics().Snapshot();
+  EXPECT_EQ(again.counters, snapshot.counters);
+  EXPECT_EQ(again.gauges.at("test.state").value, 2.0);
+  EXPECT_EQ(again.gauges.at("test.state").at, sim::Seconds(3));
+  EXPECT_EQ(again.histograms.at("test.latency_us").count, 2u);
+  EXPECT_EQ(again.histograms.at("test.latency_us").bucket_counts,
+            h.bucket_counts);
 }
 
 TEST_F(ObsTest, LoggerWritesFeedLevelCounters) {
@@ -135,7 +151,7 @@ TEST_F(ObsTest, TraceSpanLifecycle) {
 TEST_F(ObsTest, TraceBufferEvictsOldestWhenFull) {
   TraceBuffer buffer(/*capacity=*/4);
   for (int i = 0; i < 10; ++i) {
-    buffer.Record("unit", "op" + std::to_string(i), i, i + 1);
+    buffer.Emit("unit", "op" + std::to_string(i), i, i + 1, {});
   }
   EXPECT_EQ(buffer.completed_count(), 4u);
   EXPECT_EQ(buffer.dropped(), 6u);
@@ -147,8 +163,8 @@ TEST_F(ObsTest, TraceBufferEvictsOldestWhenFull) {
 
 TEST_F(ObsTest, TimelineIsSortedBySimTime) {
   TraceBuffer buffer;
-  buffer.Record("b", "second", sim::Seconds(2), sim::Seconds(3));
-  buffer.Record("a", "first", sim::Seconds(1), sim::Seconds(4));
+  buffer.Emit("b", "second", sim::Seconds(2), sim::Seconds(3), {});
+  buffer.Emit("a", "first", sim::Seconds(1), sim::Seconds(4), {});
   const std::string timeline = FormatTimeline(buffer);
   const auto first = timeline.find("first");
   const auto second = timeline.find("second");
@@ -197,13 +213,18 @@ TEST_F(ObsTest, MetricHandlesSurviveRegistryClear) {
 }
 
 TEST_F(ObsTest, DumpJsonContainsEveryKind) {
+  Metrics().set_time_source([] { return sim::Time(1500); });
   Metrics().Increment("test.ops");
-  Metrics().SetGauge("test.state", 1.0);
+  Metrics().SetGauge("test.state", 1.5);
   Metrics().Observe("test.latency_us", 5.0);
   const std::string json = DumpJson();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"test.ops\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
+  // A gauge renders as its value and the stamp of its last Set.
+  EXPECT_NE(json.find("\"test.state\": {\"value\": 1.5, \"at\": 1500}"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
@@ -251,7 +272,7 @@ TEST_F(ObsTest, DisabledTracerDropsEverything) {
   TraceBuffer buffer;
   buffer.set_enabled(false);
   EXPECT_EQ(buffer.Begin("unit", "op"), kInvalidSpan);
-  buffer.Record("unit", "op", 1, 2);
+  EXPECT_EQ(buffer.Emit("unit", "op", 1, 2, {}), kInvalidSpan);
   EXPECT_EQ(buffer.completed_count(), 0u);
   EXPECT_FALSE(buffer.ContextFor(kInvalidSpan).active());
   buffer.set_enabled(true);
@@ -438,12 +459,16 @@ TEST_F(ObsTest, WindowedAggregatorDeltasAndQuantiles) {
   WindowedAggregator agg;
 
   registry.Increment("ops", 10);
-  registry.Observe("lat_us", 5.0, {10.0, 100.0});
-  registry.Observe("lat_us", 50.0, {10.0, 100.0});
+  Histogram& lat = registry.GetHistogram("lat_us", {10.0, 100.0});
+  lat.Record(5.0);
+  lat.Record(50.0);
   auto w1 = agg.CloseWindow(registry, sim::Seconds(1));
   EXPECT_EQ(w1.counter_deltas.at("ops"), 10u);
   EXPECT_EQ(w1.histograms.at("lat_us").count, 2u);
-  EXPECT_FALSE(std::isnan(w1.histograms.at("lat_us").Quantile(0.5)));
+  // One sample per bucket: the median ends bucket [0, 10], and q = 0.75
+  // lands halfway across (10, 100].
+  EXPECT_EQ(w1.histograms.at("lat_us").Quantile(0.5), 10.0);
+  EXPECT_EQ(w1.histograms.at("lat_us").Quantile(0.75), 55.0);
 
   // Second window: only 3 more ops, no histogram samples -> NaN quantile.
   registry.Increment("ops", 3);
@@ -451,6 +476,12 @@ TEST_F(ObsTest, WindowedAggregatorDeltasAndQuantiles) {
   EXPECT_EQ(w2.counter_deltas.at("ops"), 3u);
   EXPECT_EQ(w2.histograms.at("lat_us").count, 0u);
   EXPECT_TRUE(std::isnan(w2.histograms.at("lat_us").Quantile(0.99)));
+
+  // Third window: an overflow sample reads as the top bound.
+  lat.Record(500.0);
+  auto w3 = agg.CloseWindow(registry, sim::Seconds(3));
+  EXPECT_EQ(w3.histograms.at("lat_us").count, 1u);
+  EXPECT_EQ(w3.histograms.at("lat_us").Quantile(0.5), 100.0);
   BindSimulator(nullptr);
 }
 
@@ -529,7 +560,7 @@ TEST(MergeSnapshotsTest, SumsCountersAndMergesHistograms) {
   EXPECT_DOUBLE_EQ(h.max, 1000.0);
   EXPECT_GT(h.p50, 0.0);
   EXPECT_DOUBLE_EQ(merged.gauges.at("x.g").value, 2.0);
-  EXPECT_EQ(merged.gauges.at("x.g").samples.size(), 2u);
+  EXPECT_EQ(merged.gauges.at("x.g").at, 20);
 
   // Pure function of the parts: merging twice is bit-identical.
   const MetricsSnapshot again =
@@ -602,19 +633,20 @@ TEST_F(ObsTest, MergeSnapshotsPartialOverlapKeepsDisjointNames) {
 }
 
 TEST(MergeSnapshotsTest, NestedPartTakesGaugeFromItsNewestSample) {
-  // A merged snapshot's trail concatenates its parts' trails in part
-  // order, so its last sample need not be its newest. Here `a` holds the
-  // newest sample but sits first in {a, b}; `c` must not outrank it just
-  // because b's older sample ends the nested trail.
+  // A merged gauge keeps the stamp of the part its value came from, so a
+  // merged part competes with its newest Set, not its last part's. Here
+  // `a` holds the newest Set but sits first in {a, b}; `c` must not
+  // outrank it just because b's older Set came last.
   MetricsRegistry a, b, c;
   a.GetGauge("unit.power_w").Set(3.0, 300);
   b.GetGauge("unit.power_w").Set(2.0, 100);
   c.GetGauge("unit.power_w").Set(1.0, 200);
   const MetricsSnapshot ab = MergeSnapshots({a.Snapshot(), b.Snapshot()});
   ASSERT_DOUBLE_EQ(ab.gauges.at("unit.power_w").value, 3.0);
+  ASSERT_EQ(ab.gauges.at("unit.power_w").at, 300);
   const MetricsSnapshot merged = MergeSnapshots({ab, c.Snapshot()});
   EXPECT_DOUBLE_EQ(merged.gauges.at("unit.power_w").value, 3.0);
-  EXPECT_EQ(merged.gauges.at("unit.power_w").samples.size(), 3u);
+  EXPECT_EQ(merged.gauges.at("unit.power_w").at, 300);
 }
 
 // ---------------------------------------------------------------------------
@@ -679,25 +711,18 @@ double ReferenceQuantile(const MetricsSnapshot::HistogramState& h, double q) {
 // MergeSnapshots' rules, one string-keyed lookup at a time.
 MetricsSnapshot ReferenceMerge(const std::vector<MetricsSnapshot>& parts) {
   MetricsSnapshot out;
-  std::map<std::string, sim::Time> newest;
   for (const MetricsSnapshot& part : parts) {
     out.at = std::max(out.at, part.at);
     for (const auto& [name, value] : part.counters) {
       out.counters[name] += value;
     }
     for (const auto& [name, gauge] : part.gauges) {
-      sim::Time stamp = 0;
-      for (const GaugeSample& sample : gauge.samples) {
-        stamp = std::max(stamp, sample.at);
-      }
       const bool first = out.gauges.count(name) == 0;
       MetricsSnapshot::GaugeState& into = out.gauges[name];
-      if (first || stamp > newest[name]) {  // ties: the earlier part
+      if (first || gauge.at > into.at) {  // ties: the earlier part
         into.value = gauge.value;
-        newest[name] = stamp;
+        into.at = gauge.at;
       }
-      into.samples.insert(into.samples.end(), gauge.samples.begin(),
-                          gauge.samples.end());
     }
     for (const auto& [name, h] : part.histograms) {
       if (out.histograms.count(name) == 0) {
@@ -745,12 +770,7 @@ void ExpectSameSnapshot(const MetricsSnapshot& actual,
     const std::string at = what + " gauge " + e->first;
     ASSERT_EQ(a->first, e->first) << what;
     EXPECT_EQ(a->second.value, e->second.value) << at;
-    ASSERT_EQ(a->second.samples.size(), e->second.samples.size()) << at;
-    for (std::size_t i = 0; i < e->second.samples.size(); ++i) {
-      EXPECT_EQ(a->second.samples[i].at, e->second.samples[i].at) << at;
-      EXPECT_EQ(a->second.samples[i].value, e->second.samples[i].value)
-          << at;
-    }
+    EXPECT_EQ(a->second.at, e->second.at) << at;
   }
   ASSERT_EQ(actual.histograms.size(), expected.histograms.size()) << what;
   for (auto a = actual.histograms.begin(), e = expected.histograms.begin();
@@ -774,10 +794,10 @@ void ExpectSameSnapshot(const MetricsSnapshot& actual,
 
 // Drives `registry` and `model` through the same random operations:
 // counter bumps, gauge sets at non-decreasing coarse stamps (so equal
-// newest stamps across registries are common), gauges left with empty
-// trails, and histograms created with one of two bucket layouts (so the
-// same name can carry mismatched bounds in different registries), some
-// never recorded into.
+// stamps across registries are common), gauges created but never set,
+// and histograms created with one of two bucket layouts (so the same name
+// can carry mismatched bounds in different registries), some never
+// recorded into.
 void FillRandom(std::mt19937_64& rng, MetricsRegistry& registry,
                 RegistryModel& model) {
   auto pick = [&rng](int n) {
@@ -803,17 +823,15 @@ void FillRandom(std::mt19937_64& rng, MetricsRegistry& registry,
         const std::string n = name("g");
         const double value = pick(100);
         registry.GetGauge(n).Set(value, clock);
-        MetricsSnapshot::GaugeState& g = model.gauges[n];
-        g.value = value;
-        g.samples.push_back(GaugeSample{clock, value});
+        model.gauges[n] = MetricsSnapshot::GaugeState{value, clock};
         break;
       }
       case 3: {
-        // An empty trail: a gauge never set, or one whose trail was
-        // cleared (the value survives, as after Snapshot(reset)).
+        // A gauge created but never set: value 0 at stamp 0, or whatever
+        // an earlier Set left.
         const std::string n = name("g");
-        registry.GetGauge(n).Reset();
-        model.gauges[n].samples.clear();
+        registry.GetGauge(n);
+        model.gauges.try_emplace(n);
         break;
       }
       default: {
@@ -853,7 +871,7 @@ TEST(MergeSnapshotsTest, MatchesPlainReferenceOnRandomParts) {
                        what + " flat merge");
 
     // Parts that are themselves merges, as RunShardedFleet merges units'
-    // merged snapshots: their trails are not in time order.
+    // merged snapshots: each gauge carries the stamp its value came with.
     const std::size_t split = rng() % (parts.size() + 1);
     const std::vector<MetricsSnapshot> head(parts.begin(),
                                             parts.begin() + split);
@@ -863,6 +881,86 @@ TEST(MergeSnapshotsTest, MatchesPlainReferenceOnRandomParts) {
         MergeSnapshots({MergeSnapshots(tail), MergeSnapshots(head)}),
         ReferenceMerge({ReferenceMerge(tail), ReferenceMerge(head)}),
         what + " nested merge");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Windowed quantiles against a plain reference.
+
+// The windowed rule, restated: interpolate inside the bucket holding the
+// q-th sample, the first bucket starting at 0 and the overflow bucket
+// ending at the top bound, with no clamp.
+double ReferenceWindowQuantile(const std::vector<double>& bounds,
+                               const std::vector<std::uint64_t>& deltas,
+                               double q) {
+  double count = 0;
+  for (const std::uint64_t delta : deltas) count += static_cast<double>(delta);
+  if (count == 0) return std::nan("");
+  const double target = q * count;
+  double cumulative = 0;
+  for (std::size_t b = 0; b < deltas.size(); ++b) {
+    if (deltas[b] == 0) continue;
+    const double before = cumulative;
+    cumulative += static_cast<double>(deltas[b]);
+    if (cumulative < target) continue;
+    const double lower = b == 0 ? 0.0 : bounds[b - 1];
+    const double upper = b < bounds.size() ? bounds[b] : bounds.back();
+    const double fraction =
+        (target - before) / static_cast<double>(deltas[b]);
+    return lower + fraction * (upper - lower);
+  }
+  return bounds.back();
+}
+
+TEST(WindowedAggregatorTest, QuantilesMatchPlainReferenceOnRandomWindows) {
+  // Random windows over four bucket layouts, some windows empty. Each
+  // window's buckets must equal a fresh Histogram fed only that window's
+  // values, and its quantiles must equal the reference bit for bit.
+  const std::vector<std::vector<double>> layouts = {
+      LatencyBucketsUs(), CountBuckets(), {10, 20, 50}, {10}};
+  const std::vector<double> fixed_qs = {0.0, 0.01, 0.1,  0.25,  0.5, 0.75,
+                                        0.9, 0.95, 0.99, 0.999, 1.0};
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (std::size_t l = 0; l < layouts.size(); ++l) {
+    const std::vector<double>& bounds = layouts[l];
+    MetricsRegistry registry;
+    Histogram& live = registry.GetHistogram("w", bounds);
+    WindowedAggregator aggregator;
+    for (int w = 0; w < 500; ++w) {
+      Histogram window_only(bounds);
+      const int samples = static_cast<int>(rng() % 40);
+      for (int i = 0; i < samples; ++i) {
+        // Zeros, exact bucket edges, and log-uniform values from a tenth
+        // of the first bound to twice the top one (the overflow bucket).
+        double value = 0;
+        switch (rng() % 8) {
+          case 0: break;
+          case 1: value = bounds[rng() % bounds.size()]; break;
+          default:
+            value = bounds.front() / 10 *
+                    std::pow(20 * bounds.back() / bounds.front(), unit(rng));
+        }
+        live.Record(value);
+        window_only.Record(value);
+      }
+      const WindowedAggregator::WindowStats stats =
+          aggregator.CloseWindow(registry, sim::Seconds(w + 1));
+      const WindowedAggregator::HistogramWindow& got =
+          stats.histograms.at("w");
+      const std::string what =
+          "layout " + std::to_string(l) + " window " + std::to_string(w);
+      ASSERT_EQ(got.count, window_only.count()) << what;
+      ASSERT_EQ(got.bucket_deltas, window_only.bucket_counts()) << what;
+      std::vector<double> qs = fixed_qs;
+      qs.push_back(unit(rng));
+      for (const double q : qs) {
+        const double expected =
+            ReferenceWindowQuantile(bounds, got.bucket_deltas, q);
+        ExpectSameQuantile(got.Quantile(q), expected,
+                           what + " q " + std::to_string(q));
+      }
+    }
   }
 }
 

@@ -41,12 +41,8 @@ void PrintRegistry(const obs::MetricsSnapshot& snapshot) {
 
   std::printf("\n== Gauges ==\n");
   for (const auto& [name, gauge] : snapshot.gauges) {
-    std::printf("  %-40s %12g  (%zu samples", name.c_str(), gauge.value,
-                gauge.samples.size());
-    if (!gauge.samples.empty()) {
-      std::printf(", last at %.6fs", sim::ToSeconds(gauge.samples.back().at));
-    }
-    std::printf(")\n");
+    std::printf("  %-40s %12g  (set at %.6fs)\n", name.c_str(), gauge.value,
+                sim::ToSeconds(gauge.at));
   }
 
   std::printf("\n== Histograms ==\n");
