@@ -110,6 +110,9 @@ struct ShardedCluster::Group {
   std::vector<fabric::NodeIndex> nodes;  // SoA index -> topology node
   std::vector<std::uint8_t> fallback;    // routed via the real hw::Disk
   int fallback_count = 0;
+  // Ops the SoA refused (failed or powered-off members of a sweep run);
+  // ReportEvent counts them like the error completions of fallback I/O.
+  std::uint64_t refused_ops = 0;
   MasterShard mshard;  // per-group meta-lease holder (DESIGN.md §15)
   bool lease_requested = false;  // a kLeaseRequest is in flight
   std::string component;
@@ -281,8 +284,8 @@ void ShardedCluster::BurstEvent(int g) {
     msg.group = g;
     msg.disk = victim;
     msg.want_fail = !grp.disks.failed(victim);
-    // Route the victim through the real disk the moment the toggle is in
-    // flight; the repair ack brings it back (fallback-to-Disk rule).
+    // Route the victim through the real disk while the toggle is in
+    // flight; its ack brings it back (fallback-to-Disk rule).
     if (grp.fallback[victim] == 0) {
       grp.fallback[victim] = 1;
       ++grp.fallback_count;
@@ -388,8 +391,9 @@ void ShardedCluster::BurstEvent(int g) {
     grp.metrics.Increment("cluster.unit.spin.implicit", spin_ups);
   }
   if (rejected > 0) {
-    grp.metrics.Increment("cluster.unit.io.rejected",
-                          static_cast<std::uint64_t>(rejected) * ops);
+    const std::uint64_t refused = static_cast<std::uint64_t>(rejected) * ops;
+    grp.refused_ops += refused;
+    grp.metrics.Increment("cluster.unit.io.rejected", refused);
   }
   if (!mixed && accepted > 0) {
     grp.trace.Emit(grp.component, "sweep", now, drain_at, {},
@@ -451,7 +455,7 @@ void ShardedCluster::ReportEvent(int g) {
   if (now >= options_.duration) return;
   ++grp.stats.reports_sent;
   const std::uint64_t total =
-      grp.disks.total_ios() + grp.stats.fallback_ops;
+      grp.disks.total_ios() + grp.stats.fallback_ops + grp.refused_ops;
   if (grp.mshard.lease_held()) {
     // Lease-local heartbeat: the MasterShard decides directives here on
     // the group's own shard; only the periodic ops sync escalates.
@@ -518,29 +522,29 @@ void ShardedCluster::ApplyFaultToggle(const ControlMsg& msg) {
                 [this, g, d, failed_now, eligible] {
     Group& grp2 = *groups_[g];
     ++grp2.stats.fault_acks;
+    // A fail ack returns the disk to the SoA path in its failed state, so
+    // the group's own sweeps refuse its batches; a repair ack returns it
+    // only when readmitted.
+    bool to_soa = true;
     if (failed_now) {
       if (!grp2.disks.failed(d)) grp2.disks.Fail(d);
       grp2.mshard.NoteFault(d, true);  // keep the lease mirror honest
-      if (grp2.fallback[d] == 0) {
-        grp2.fallback[d] = 1;
-        ++grp2.fallback_count;
-      }
     } else {
       if (grp2.disks.failed(d)) grp2.disks.Repair(d);
       // Re-expose decision: under a held lease the group's MasterShard
       // readmits the disk itself (and updates its mirror); without one
       // the pump's eligibility verdict stands as-is.
-      bool readmit = eligible;
+      to_soa = eligible;
       if (grp2.mshard.lease_held()) {
-        readmit = grp2.mshard.ReadmitAfterHeal(d, eligible);
+        to_soa = grp2.mshard.ReadmitAfterHeal(d, eligible);
         grp2.metrics.Increment("cluster.unit.readmit.local");
       } else {
         grp2.mshard.NoteFault(d, false);
       }
-      if (readmit && grp2.fallback[d] != 0) {
-        grp2.fallback[d] = 0;
-        --grp2.fallback_count;
-      }
+    }
+    if (to_soa && grp2.fallback[d] != 0) {
+      grp2.fallback[d] = 0;
+      --grp2.fallback_count;
     }
   });
 }
@@ -553,8 +557,9 @@ void ShardedCluster::ApplyFallbackIo(const ControlMsg& msg) {
   const hw::IoRequest shape{grp.shape.size, msg.direction, grp.shape.pattern};
   std::vector<hw::IoRequest> requests(msg.ops, shape);
   const int g = msg.group;
-  // The completion fires inside a later pump's RunUntil — still a
-  // control-shard event, so posting back to the group is legal.
+  // The completion fires inside a pump (at once for a refused batch, else
+  // inside a RunUntil) — a control-shard event either way, so posting back
+  // to the group is legal.
   disk->SubmitBatch(
       requests, [this, g](std::span<const hw::IoCompletion> results) {
         std::uint64_t ok = 0;
@@ -564,9 +569,8 @@ void ShardedCluster::ApplyFallbackIo(const ControlMsg& msg) {
         const std::uint64_t n = results.size();
         engine_->Post(control_shard_, groups_[g]->shard, 0,
                       [this, g, ok, n] {
-          // Count every completion — a failed disk answers with errors,
-          // and those round trips are exactly what the fallback path is
-          // for; the ok/error split lives in the metrics.
+          // Count every completion; the ok/error split lives in the
+          // metrics.
           Group& grp2 = *groups_[g];
           grp2.stats.fallback_ops += n;
           grp2.metrics.Increment("cluster.unit.fallback.completions", n);

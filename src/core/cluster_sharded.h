@@ -28,12 +28,15 @@
 //     directives. The only cluster mutation ever performed happens inside
 //     the pump — deliveries never touch the cluster directly, which is
 //     what keeps same-timestamp delivery reordering unobservable.
-//   * Fallback-to-Disk rule: a disk with an in-flight chaos fault (or one
-//     EndPoint::SteadyStateEligible rejects) leaves the SoA fast path;
-//     its I/O is posted to the pump, which drives the full hw::Disk
-//     object — callbacks, failure paths, tracing — and posts completions
-//     back. Repair + eligibility ack returns it to the array. The SoA
-//     members of a burst range that holds fallback disks still sweep one
+//   * Fallback-to-Disk rule: a disk with an in-flight chaos fault toggle
+//     (or one EndPoint::SteadyStateEligible rejected at handoff) leaves
+//     the SoA fast path; its I/O is posted to the pump, which drives the
+//     full hw::Disk object — callbacks, failure paths, tracing — and
+//     posts completions back. The toggle's ack returns it to the array: a
+//     fail ack in its failed state, so SubmitBatchRange refuses its
+//     batches inside the group's own sweep (cluster.unit.io.rejected), a
+//     repair ack only when the disk is eligible. The SoA members of a
+//     burst range that holds fallback disks still sweep one
 //     SubmitBatchRange per maximal run between them.
 //
 // The report is a pure function of (options, seed): the determinism fuzz

@@ -90,8 +90,8 @@ TEST(ShardedFleetTest, FourUnitDigestIsPinned) {
   options.units = 4;
   const ShardedFleetReport fleet = RunShardedFleet(options);
   ASSERT_EQ(fleet.units.size(), 4u);
-  EXPECT_EQ(fleet.total_events, 1152u);
-  EXPECT_EQ(fleet.Digest(), 0xc0417476a662ff1fULL);
+  EXPECT_EQ(fleet.total_events, 1028u);
+  EXPECT_EQ(fleet.Digest(), 0x968345912466396eULL);
 }
 
 TEST(ShardedFleetTest, UnitsAreIndependentAndMergedInOrder) {
