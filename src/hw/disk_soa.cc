@@ -18,10 +18,6 @@ DiskStateArray::DiskStateArray(const DiskModel* model, int count,
   last_spin_up_at_.assign(count, -1);
   idle_timeout_.assign(count, idle_timeout);
   pending_batches_.assign(count, 0);
-  ios_.assign(count, 0);
-  bytes_read_.assign(count, 0);
-  bytes_written_.assign(count, 0);
-  spin_cycles_.assign(count, 0);
   state_counts_[static_cast<int>(DiskState::kIdle)] = count;
 }
 
@@ -43,7 +39,6 @@ void DiskStateArray::NoteSpinUp(int disk, sim::Time now) {
         idle_timeout_[disk] * 2, 64 * configured_idle_timeout_);
   }
   last_spin_up_at_[disk] = now;
-  ++spin_cycles_[disk];
   ++total_spin_cycles_;
 }
 
@@ -87,14 +82,11 @@ DiskStateArray::BatchOutcome DiskStateArray::SubmitBatch(
   idle_deadline_[disk] = -1;
   EnterState(disk, DiskState::kActive);
 
-  ios_[disk] += ops;
   total_ios_ += ops;
   const Bytes bytes = static_cast<Bytes>(ops) * shape.size;
   if (shape.direction == IoDirection::kRead) {
-    bytes_read_[disk] += bytes;
     total_bytes_read_ += bytes;
   } else {
-    bytes_written_[disk] += bytes;
     total_bytes_written_ += bytes;
   }
   return out;
@@ -120,8 +112,6 @@ DiskStateArray::RangeOutcome DiskStateArray::SubmitBatchRange(
   const sim::Duration spin = model_->disk().spin_up_time;
   const sim::Duration tail =
       static_cast<sim::Duration>(ops - 1) * steady;
-  const Bytes bytes = static_cast<Bytes>(ops) * shape.size;
-  const bool is_read = shape.direction == IoDirection::kRead;
 
   for (int d = first; d < first + n; ++d) {
     if (failed_[d] != 0 || state_[d] == DiskState::kPoweredOff) {
@@ -150,16 +140,6 @@ DiskStateArray::RangeOutcome DiskStateArray::SubmitBatchRange(
     idle_deadline_[d] = -1;
     EnterState(d, DiskState::kActive);
 
-    ios_[d] += ops;
-    total_ios_ += ops;
-    if (is_read) {
-      bytes_read_[d] += bytes;
-      total_bytes_read_ += bytes;
-    } else {
-      bytes_written_[d] += bytes;
-      total_bytes_written_ += bytes;
-    }
-
     ++out.accepted;
     out.ops += ops;
     if (out.first_completion < 0 || first_completion < out.first_completion) {
@@ -173,6 +153,13 @@ DiskStateArray::RangeOutcome DiskStateArray::SubmitBatchRange(
                                          last_completion, first_service,
                                          steady, spin_wait};
     }
+  }
+  total_ios_ += out.ops;
+  const Bytes bytes = static_cast<Bytes>(out.ops) * shape.size;
+  if (shape.direction == IoDirection::kRead) {
+    total_bytes_read_ += bytes;
+  } else {
+    total_bytes_written_ += bytes;
   }
   return out;
 }

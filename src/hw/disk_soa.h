@@ -4,10 +4,11 @@
 // hw::Disk carries everything one spindle can do — request ring, per-op
 // callbacks, trace spans, integrity store. At 100k disks per unit the
 // sharded engine's steady-state path only touches a handful of scalars per
-// disk (spin state, last direction, drain cursor, counters), so this class
-// keeps exactly that hot state in parallel arrays: a batch submission or a
-// fast-forward sweep walks contiguous memory instead of hopping across
-// 100k heap-allocated Disk objects.
+// disk (spin state, last direction, drain cursor, idle timer), so this
+// class keeps exactly that hot state in parallel arrays: a batch
+// submission or a fast-forward sweep walks contiguous memory instead of
+// hopping across 100k heap-allocated Disk objects. Ops, bytes and spin
+// cycles are counted for the whole array only — reports read the totals.
 //
 // Timing is bit-exact with hw::Disk for the NCQ closed-form drain of a
 // same-shape batch (the data-plane fast path of DESIGN.md §9): the first
@@ -167,12 +168,7 @@ class DiskStateArray {
   std::vector<sim::Duration> idle_timeout_;  // per-disk, adaptively doubled
   std::vector<std::int32_t> pending_batches_;
 
-  // Cold-ish per-disk counters (still arrays: report sweeps stay linear).
-  std::vector<std::uint64_t> ios_;
-  std::vector<std::uint64_t> bytes_read_;
-  std::vector<std::uint64_t> bytes_written_;
-  std::vector<std::uint32_t> spin_cycles_;
-
+  // Array-wide counts (see the file comment).
   int state_counts_[5] = {0, 0, 0, 0, 0};
   std::uint64_t total_ios_ = 0;
   Bytes total_bytes_read_ = 0;
