@@ -16,14 +16,19 @@ namespace ustore {
 inline constexpr std::uint64_t kTruncatedFnvBasis = 1469598103934665603ULL;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
-// FNV-1a over `bytes`, starting from kTruncatedFnvBasis.
-inline std::uint64_t Fnv1a(std::string_view bytes) {
-  std::uint64_t h = kTruncatedFnvBasis;
+// Continues an FNV-1a digest `h` over `bytes`: a document hashed in pieces
+// digests the same as Fnv1a over the whole.
+inline std::uint64_t Fnv1aAppend(std::uint64_t h, std::string_view bytes) {
   for (const char c : bytes) {
     h ^= static_cast<unsigned char>(c);
     h *= kFnvPrime;
   }
   return h;
+}
+
+// FNV-1a over `bytes`, starting from kTruncatedFnvBasis.
+inline std::uint64_t Fnv1a(std::string_view bytes) {
+  return Fnv1aAppend(kTruncatedFnvBasis, bytes);
 }
 
 // The splitmix64 generator's state increment (2^64 / golden ratio).

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cstdio>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/hash.h"
 
@@ -183,11 +182,7 @@ TraceSpan* TraceBuffer::AcquireRingSlot() {
 std::vector<TraceSpan> TraceBuffer::CompletedInOrder() const {
   std::vector<TraceSpan> out;
   out.reserve(ring_count_);
-  for (std::size_t i = 0; i < ring_count_; ++i) {
-    std::size_t idx = ring_head_ + i;
-    if (idx >= ring_.size()) idx -= ring_.size();
-    out.push_back(ring_[idx]);
-  }
+  for (std::size_t i = 0; i < ring_count_; ++i) out.push_back(completed(i));
   return out;
 }
 
@@ -242,6 +237,88 @@ std::vector<TraceSpan> SortedByStart(std::vector<TraceSpan> spans) {
   return spans;
 }
 
+// DumpTraceJson's order — start time, then id — over pointers into the
+// spans' own storage. Stable, so spans equal in both keep their input
+// order, as SortedByStart does.
+void SortForExport(std::vector<const TraceSpan*>& spans) {
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const TraceSpan* a, const TraceSpan* b) {
+                     if (a->start != b->start) return a->start < b->start;
+                     return a->id < b->id;
+                   });
+}
+
+std::vector<const TraceSpan*> ExportOrder(const TraceBuffer& buffer) {
+  std::vector<const TraceSpan*> spans;
+  spans.reserve(buffer.completed_count());
+  for (std::size_t i = 0; i < buffer.completed_count(); ++i) {
+    spans.push_back(&buffer.completed(i));
+  }
+  SortForExport(spans);
+  return spans;
+}
+
+std::vector<const TraceSpan*> ExportOrder(const std::vector<TraceSpan>& all) {
+  std::vector<const TraceSpan*> spans;
+  spans.reserve(all.size());
+  for (const TraceSpan& span : all) spans.push_back(&span);
+  SortForExport(spans);
+  return spans;
+}
+
+// The canonical trace JSON (see DumpTraceJson), fed to `sink` piece by
+// piece: appended to the document, or folded into its digest.
+template <typename Sink>
+void RenderTraceJson(const std::vector<const TraceSpan*>& spans,
+                     const Sink& sink) {
+  // A parent evicted from the buffer (or still open) would dangle; export
+  // re-roots the surviving subtree instead.
+  std::vector<SpanId> present;
+  present.reserve(spans.size());
+  for (const TraceSpan* span : spans) present.push_back(span->id);
+  std::sort(present.begin(), present.end());
+
+  char buf[24];
+  const auto number = [&](auto value) {
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+    (void)ec;
+    sink(std::string_view(buf, static_cast<std::size_t>(end - buf)));
+  };
+  sink("[");
+  bool first = true;
+  for (const TraceSpan* span : spans) {
+    sink(first ? "\n  {\"id\": " : ",\n  {\"id\": ");
+    first = false;
+    number(span->id);
+    sink(", \"trace_id\": ");
+    number(span->trace_id);
+    sink(", \"parent\": ");
+    number(std::binary_search(present.begin(), present.end(), span->parent)
+               ? span->parent
+               : kInvalidSpan);
+    sink(", \"component\": \"");
+    sink(span->component);
+    sink("\", \"name\": \"");
+    sink(span->name);
+    sink("\", \"start_ns\": ");
+    number(span->start);
+    sink(", \"end_ns\": ");
+    number(span->end);
+    sink(", \"attrs\": {");
+    bool first_attr = true;
+    for (const auto& [key, value] : span->attrs) {
+      sink(first_attr ? "\"" : ", \"");
+      first_attr = false;
+      sink(key);
+      sink("\": \"");
+      sink(value);
+      sink("\"");
+    }
+    sink("}}");
+  }
+  sink(first ? "]" : "\n]");
+}
+
 }  // namespace
 
 std::string FormatTimeline(const TraceBuffer& buffer) {
@@ -268,41 +345,18 @@ std::string FormatTimeline(const TraceBuffer& buffer) {
   return out;
 }
 
-std::string DumpTraceJson(const std::vector<TraceSpan>& unsorted) {
-  const std::vector<TraceSpan> spans = SortedByStart(unsorted);
-  std::unordered_set<SpanId> present;
-  present.reserve(spans.size());
-  for (const TraceSpan& span : spans) present.insert(span.id);
-
-  std::string out = "[";
-  bool first = true;
-  for (const TraceSpan& span : spans) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    // A parent evicted from the buffer (or still open) would dangle; export
-    // re-roots the surviving subtree instead.
-    const SpanId parent =
-        present.count(span.parent) != 0 ? span.parent : kInvalidSpan;
-    out += "  {\"id\": " + std::to_string(span.id) +
-           ", \"trace_id\": " + std::to_string(span.trace_id) +
-           ", \"parent\": " + std::to_string(parent) +
-           ", \"component\": \"" + span.component + "\", \"name\": \"" +
-           span.name + "\", \"start_ns\": " + std::to_string(span.start) +
-           ", \"end_ns\": " + std::to_string(span.end) + ", \"attrs\": {";
-    bool first_attr = true;
-    for (const auto& [key, value] : span.attrs) {
-      if (!first_attr) out += ", ";
-      first_attr = false;
-      out += "\"" + key + "\": \"" + value + "\"";
-    }
-    out += "}}";
-  }
-  out += first ? "]" : "\n]";
+std::string DumpTraceJson(const std::vector<TraceSpan>& spans) {
+  std::string out;
+  RenderTraceJson(ExportOrder(spans),
+                  [&out](std::string_view bytes) { out.append(bytes); });
   return out;
 }
 
 std::string DumpTraceJson(const TraceBuffer& buffer) {
-  return DumpTraceJson(buffer.CompletedInOrder());
+  std::string out;
+  RenderTraceJson(ExportOrder(buffer),
+                  [&out](std::string_view bytes) { out.append(bytes); });
+  return out;
 }
 
 std::string DumpChromeTraceJson(const std::vector<TraceSpan>& unsorted) {
@@ -357,7 +411,10 @@ std::string DumpChromeTraceJson(const TraceBuffer& buffer) {
 }
 
 std::uint64_t TraceDigest(const TraceBuffer& buffer) {
-  return Fnv1a(DumpTraceJson(buffer));
+  std::uint64_t h = kTruncatedFnvBasis;
+  RenderTraceJson(ExportOrder(buffer),
+                  [&h](std::string_view bytes) { h = Fnv1aAppend(h, bytes); });
+  return h;
 }
 
 }  // namespace ustore::obs

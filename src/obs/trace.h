@@ -132,6 +132,13 @@ class TraceBuffer {
   // storage is a recycling ring).
   std::vector<TraceSpan> CompletedInOrder() const;
   std::size_t completed_count() const { return ring_count_; }
+  // The i-th oldest surviving completed span (i < completed_count()), read
+  // in place in the ring.
+  const TraceSpan& completed(std::size_t i) const {
+    std::size_t idx = ring_head_ + i;
+    if (idx >= ring_.size()) idx -= ring_.size();
+    return ring_[idx];
+  }
   std::size_t open_count() const { return open_count_; }
   std::uint64_t dropped() const { return dropped_; }
   std::size_t capacity() const { return capacity_; }
@@ -224,7 +231,8 @@ std::string DumpChromeTraceJson(const std::vector<TraceSpan>& spans);
 
 // FNV-1a over the canonical DumpTraceJson rendering: a deterministic
 // fingerprint of the whole buffer, used by the sharded-cluster reports to
-// assert bit-identical traces across shard and thread counts.
+// assert bit-identical traces across shard and thread counts. The bytes
+// are hashed as they render, without building the document.
 std::uint64_t TraceDigest(const TraceBuffer& buffer);
 
 }  // namespace ustore::obs

@@ -6,9 +6,11 @@
 #include <cstdlib>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -418,6 +420,139 @@ TEST_F(ObsTest, RoundTripExportIsStable) {
   const std::string chrome = DumpChromeTraceJson(buffer);
   EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(chrome.find("\"ph\": \"X\""), std::string::npos);
+}
+
+// DumpTraceJson restated the plain way: copy the ring, stable-sort the copy
+// by (start, id), render through strings, rewrite unresolved parents to 0.
+std::string ReferenceTraceJson(const TraceBuffer& buffer) {
+  std::vector<TraceSpan> spans = buffer.CompletedInOrder();
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const TraceSpan& a, const TraceSpan& b) {
+                     if (a.start != b.start) return a.start < b.start;
+                     return a.id < b.id;
+                   });
+  std::set<SpanId> present;
+  for (const TraceSpan& span : spans) present.insert(span.id);
+  std::string out = "[";
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const TraceSpan& span = spans[i];
+    const SpanId parent = present.count(span.parent) ? span.parent : 0;
+    out += i == 0 ? "\n" : ",\n";
+    out += "  {\"id\": " + std::to_string(span.id) +
+           ", \"trace_id\": " + std::to_string(span.trace_id) +
+           ", \"parent\": " + std::to_string(parent) +
+           ", \"component\": \"" + span.component + "\", \"name\": \"" +
+           span.name + "\", \"start_ns\": " + std::to_string(span.start) +
+           ", \"end_ns\": " + std::to_string(span.end) + ", \"attrs\": {";
+    for (std::size_t a = 0; a < span.attrs.size(); ++a) {
+      if (a > 0) out += ", ";
+      out += "\"" + span.attrs[a].first + "\": \"" + span.attrs[a].second +
+             "\"";
+    }
+    out += "}}";
+  }
+  out += spans.empty() ? "]" : "\n]";
+  return out;
+}
+
+TEST(TraceDigestTest, MatchesFnvOfDumpOnRandomBuffers) {
+  // Random buffers: small rings that wrap and evict, start times from a
+  // narrow window (ties), parents that are evicted, still open or present,
+  // and 0-3 attrs per span. TraceDigest streams the bytes it hashes, so it
+  // must equal FNV-1a of the rendered document, and the document must equal
+  // the plain rendering.
+  std::mt19937_64 rng(20261020);
+  const char* const components[] = {"client", "rpc", "disk:d0"};
+  const char* const values[] = {"read", "write", ""};
+  int wrapped = 0;
+  int open_parents = 0;     // parent still open: renders as 0
+  int evicted_parents = 0;  // parent ended but evicted: renders as 0
+  int ties = 0;
+  int attr_counts[4] = {0, 0, 0, 0};
+  for (int trial = 0; trial < 300; ++trial) {
+    TraceBuffer buffer(1 + rng() % 12);
+    std::vector<SpanId> open;
+    std::vector<TraceContext> ended;  // {trace_id, id} of every ended span
+    const int steps = static_cast<int>(rng() % 48);
+    for (int step = 0; step < steps; ++step) {
+      TraceContext ctx;
+      switch (rng() % 3) {
+        case 0: break;  // a new root
+        case 1:
+          if (!open.empty()) ctx = buffer.ContextFor(open[rng() % open.size()]);
+          break;
+        default:
+          if (!ended.empty()) ctx = ended[rng() % ended.size()];
+      }
+      const char* component = components[rng() % 3];
+      const sim::Time start = static_cast<sim::Time>(rng() % 6);
+      const int attrs = static_cast<int>(rng() % 4);
+      const SpanAttr a0{"dir", values[rng() % 3]};
+      const SpanAttr a1{"size", rng() % 100000};
+      const SpanAttr a2{"k", values[rng() % 3]};
+      switch (rng() % 3) {
+        case 0: {  // a one-shot closed span
+          const sim::Time end = start + static_cast<sim::Time>(rng() % 4);
+          SpanId id = kInvalidSpan;
+          switch (attrs) {
+            case 0: id = buffer.Emit(component, "io", start, end, ctx); break;
+            case 1: id = buffer.Emit(component, "io", start, end, ctx, {a0});
+              break;
+            case 2:
+              id = buffer.Emit(component, "io", start, end, ctx, {a0, a1});
+              break;
+            default:
+              id = buffer.Emit(component, "io", start, end, ctx,
+                               {a0, a1, a2});
+          }
+          ended.push_back({ctx.active() ? ctx.trace_id : id, id});
+          break;
+        }
+        case 1: {  // open a span, annotated up to 3 times
+          const SpanId id = buffer.StartAt(component, "call", start, ctx);
+          for (int a = 0; a < attrs; ++a) {
+            buffer.Annotate(id, "note", values[rng() % 3]);
+          }
+          open.push_back(id);
+          break;
+        }
+        default:  // end an open span
+          if (open.empty()) break;
+          const std::size_t pick = rng() % open.size();
+          const SpanId id = open[pick];
+          const TraceContext as_parent = buffer.ContextFor(id);
+          buffer.EndAt(id, start + 7);
+          ended.push_back(as_parent);
+          open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+    }
+
+    const std::vector<TraceSpan> spans = buffer.CompletedInOrder();
+    std::set<SpanId> present;
+    std::set<sim::Time> starts;
+    for (const TraceSpan& span : spans) present.insert(span.id);
+    for (const TraceSpan& span : spans) {
+      if (std::find(open.begin(), open.end(), span.parent) != open.end()) {
+        ++open_parents;
+      } else if (span.parent != 0 && present.count(span.parent) == 0) {
+        ++evicted_parents;
+      }
+      if (!starts.insert(span.start).second) ++ties;
+      ++attr_counts[std::min<std::size_t>(span.attrs.size(), 3)];
+    }
+    if (buffer.dropped() > 0) ++wrapped;
+
+    const std::string dump = DumpTraceJson(buffer);
+    ASSERT_EQ(dump, ReferenceTraceJson(buffer)) << "trial " << trial;
+    ASSERT_EQ(DumpTraceJson(spans), dump) << "trial " << trial;
+    ASSERT_EQ(TraceDigest(buffer), Fnv1a(dump)) << "trial " << trial;
+  }
+  // Every shape the streamed renderer must get right actually occurred.
+  EXPECT_GT(wrapped, 0);
+  EXPECT_GT(open_parents, 0);
+  EXPECT_GT(evicted_parents, 0);
+  EXPECT_GT(ties, 0);
+  for (const int n : attr_counts) EXPECT_GT(n, 0);
 }
 
 TEST_F(ObsTest, AnalyzeRequestTreeAttributesPhases) {
